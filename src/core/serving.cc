@@ -263,31 +263,24 @@ ServingFrontEnd::RequestHandle ServingFrontEnd::SubmitRaw(
     // The jobs were parsed off the wire, not produced by a local client:
     // re-check shape here so a malformed (but individually-parseable)
     // upload is rejected before it can poison a pooled batch. Both logical
-    // servers must cover the same bins of each submitted table, and a
-    // ranged (sharded) request's eval windows must sit inside every bin
-    // (begin <= end <= bin rows) — an out-of-range window would throw in
-    // the engine's batch validation, failing co-batched requests.
-    auto range_ok = [](const PbrSession::BinJobs& jobs, std::uint64_t begin,
-                       std::uint64_t end) {
-        if (begin > end) return false;
-        for (const AnswerEngine::Job& job : jobs.jobs) {
-            if (end > job.num_rows) return false;
-        }
-        return true;
+    // servers must cover the same bins of each submitted table, and each
+    // table's eval window must sit inside its bin size
+    // (begin <= end <= bin_size).
+    auto window_ok = [](std::uint64_t begin, std::uint64_t end,
+                        std::uint64_t bin_size) {
+        return begin <= end && end <= bin_size;
     };
+    const Pbr* hot_pbr = service_->hot_pbr();
     const bool shape_ok =
         !service_->planning_only() && !raw.full_server0.jobs.empty() &&
         raw.full_server0.jobs.size() == raw.full_server1.jobs.size() &&
+        window_ok(raw.full_row_begin, raw.full_row_end,
+                  service_->full_pbr().bin_size()) &&
         (!raw.has_hot ||
-         (!raw.hot_server0.jobs.empty() &&
-          raw.hot_server0.jobs.size() == raw.hot_server1.jobs.size())) &&
-        (!raw.has_range ||
-         (range_ok(raw.full_server0, raw.full_row_begin, raw.full_row_end) &&
-          range_ok(raw.full_server1, raw.full_row_begin, raw.full_row_end) &&
-          (!raw.has_hot ||
-           (range_ok(raw.hot_server0, raw.hot_row_begin, raw.hot_row_end) &&
-            range_ok(raw.hot_server1, raw.hot_row_begin,
-                     raw.hot_row_end)))));
+         (hot_pbr != nullptr && !raw.hot_server0.jobs.empty() &&
+          raw.hot_server0.jobs.size() == raw.hot_server1.jobs.size() &&
+          window_ok(raw.hot_row_begin, raw.hot_row_end,
+                    hot_pbr->bin_size())));
     if (!shape_ok) {
         MutexLock lock(mu_);
         ++counters_.rejected_invalid;
@@ -615,20 +608,21 @@ void ServingFrontEnd::ProcessBatch(
             Group& g = groups.back();
             g.req = req;
             g.hot = hot;
-            // Sharded-fleet range scoping: clip every bin job of a ranged
-            // raw request to its table's eval window, so the engine scans
-            // only this node's assigned row slice of each bin and the
-            // streamed shares are per-shard partials.
-            const bool clip = req->raw && req->raw_prep.has_range;
+            // Range scoping: clip every bin job of a raw request to its
+            // table's eval window, so the engine scans only this node's
+            // assigned row slice of each bin and the streamed shares are
+            // per-shard partials. The start is clamped to the job's rows:
+            // a window past a short last bin's end is the empty window
+            // (all-zero share), never an inverted one.
             const std::uint64_t win_begin =
                 hot ? req->raw_prep.hot_row_begin
                     : req->raw_prep.full_row_begin;
             const std::uint64_t win_end = hot ? req->raw_prep.hot_row_end
                                               : req->raw_prep.full_row_end;
             auto clip_jobs = [&](std::vector<AnswerEngine::TableJob>& bound) {
-                if (!clip) return;
+                if (!req->raw) return;
                 for (AnswerEngine::TableJob& tj : bound) {
-                    tj.job.eval_begin = win_begin;
+                    tj.job.eval_begin = std::min(win_begin, tj.job.num_rows);
                     tj.job.eval_end = win_end;
                 }
             };

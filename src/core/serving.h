@@ -88,15 +88,16 @@ struct RawLookup {
     PbrSession::BinJobs hot_server0;
     PbrSession::BinJobs hot_server1;
     bool has_hot = false;
-    // Sharded-fleet range scoping: with has_range set, every bin job of
-    // each table is clipped to the bin-relative eval window
-    // [*_row_begin, *_row_end) — the node evaluates the same keys over
-    // only its assigned slice of every bin, and the resulting shares are
-    // PARTIAL: they only sum to the full answer share across all shards
-    // (src/pir/shard_merge.h). Windows must satisfy begin <= end <= the
-    // table's bin size; SubmitRaw rejects violations as kInvalidRequest
-    // so a bad remote request cannot poison a pooled batch.
-    bool has_range = false;
+    // Range scoping: every bin job of each table is clipped to the
+    // bin-relative eval window [*_row_begin, *_row_end) — the node
+    // evaluates the same keys over only its assigned slice of every bin,
+    // and the resulting shares are PARTIAL: they only sum to the full
+    // answer share across all shards (src/pir/shard_merge.h). A single
+    // shard's window [0, bin_size) clips to exactly the unclipped job.
+    // Windows must satisfy begin <= end <= the table's bin size; SubmitRaw
+    // rejects violations as kInvalidRequest so a bad remote request cannot
+    // poison a pooled batch. A short last bin answers the part of a window
+    // that overlaps its rows (the all-zero share when none does).
     std::uint64_t full_row_begin = 0;
     std::uint64_t full_row_end = 0;
     std::uint64_t hot_row_begin = 0;

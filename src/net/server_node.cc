@@ -233,10 +233,9 @@ void PirServerNode::ServeConnection(int fd) {
             service_->server_sharding());
     }
 
-    // Shard assignment, negotiated by an optional kShardHello after the
-    // geometry handshake. Only a connection that completed the shard
-    // handshake may submit ranged (scatter-gather) requests; its partials
-    // then go back as kShardPartial tagged with the assigned shard index.
+    // Shard assignment, negotiated by kShardHello after the geometry
+    // handshake. Only a shard-handshaken connection may submit lookups;
+    // its partials go back as kShardPartial tagged with the shard index.
     bool sharded = false;
     ShardHelloFrame shard_assign{};
 
@@ -323,12 +322,34 @@ void PirServerNode::ServeConnection(int fd) {
         {
             MutexLock lock(mu_);
             ++stats_.requests;
-            if (req.has_range) ++stats_.shard_requests;
         }
 
-        // A ranged request only makes sense on a connection that completed
-        // the shard handshake (the reply is tagged with its shard index).
-        if (req.has_range && !sharded) {
+        // Every lookup must be a ranged request on a shard-handshaken
+        // connection (the reply is tagged with its shard index), and its
+        // keys must parse. Anything wrong — no window, no shard handshake,
+        // a corrupt key, a bin-count mismatch against this node's
+        // geometry, a hot query against a hot-less node — is an explicit
+        // per-request rejection, never a dropped connection or a crash.
+        RawLookup raw;
+        bool request_ok = req.has_range && sharded;
+        if (request_ok) {
+            try {
+                raw.full_server0 = full_parse.ParseJobs(req.full_keys0);
+                raw.full_server1 = full_parse.ParseJobs(req.full_keys1);
+                if (req.has_hot) {
+                    if (hot_parse == nullptr) {
+                        request_ok = false;
+                    } else {
+                        raw.hot_server0 = hot_parse->ParseJobs(req.hot_keys0);
+                        raw.hot_server1 = hot_parse->ParseJobs(req.hot_keys1);
+                        raw.has_hot = true;
+                    }
+                }
+            } catch (const std::exception&) {
+                request_ok = false;
+            }
+        }
+        if (!request_ok) {
             RejectedFrame rej;
             rej.request_id = req.request_id;
             rej.status = AdmissionStatus::kInvalidRequest;
@@ -341,46 +362,10 @@ void PirServerNode::ServeConnection(int fd) {
             shared->Send(FrameType::kRejected, EncodeRejected(rej));
             continue;
         }
-
-        // Parse/validate the uploaded keys. Anything wrong — a corrupt
-        // key, a bin-count mismatch against this node's geometry, a hot
-        // query against a hot-less node — is an explicit per-request
-        // rejection, never a dropped connection or a crash.
-        RawLookup raw;
-        bool parse_ok = true;
-        try {
-            raw.full_server0 = full_parse.ParseJobs(req.full_keys0);
-            raw.full_server1 = full_parse.ParseJobs(req.full_keys1);
-            if (req.has_hot) {
-                if (hot_parse == nullptr) {
-                    parse_ok = false;
-                } else {
-                    raw.hot_server0 = hot_parse->ParseJobs(req.hot_keys0);
-                    raw.hot_server1 = hot_parse->ParseJobs(req.hot_keys1);
-                    raw.has_hot = true;
-                }
-            }
-        } catch (const std::exception&) {
-            parse_ok = false;
-        }
-        if (parse_ok && req.has_range) {
-            raw.has_range = true;
-            raw.full_row_begin = req.full_row_begin;
-            raw.full_row_end = req.full_row_end;
-            raw.hot_row_begin = req.hot_row_begin;
-            raw.hot_row_end = req.hot_row_end;
-        }
-        if (!parse_ok) {
-            RejectedFrame rej;
-            rej.request_id = req.request_id;
-            rej.status = AdmissionStatus::kInvalidRequest;
-            {
-                MutexLock lock(mu_);
-                ++stats_.rejected;
-            }
-            shared->Send(FrameType::kRejected, EncodeRejected(rej));
-            continue;
-        }
+        raw.full_row_begin = req.full_row_begin;
+        raw.full_row_end = req.full_row_end;
+        raw.hot_row_begin = req.hot_row_begin;
+        raw.hot_row_end = req.hot_row_end;
 
         // Count the request as pending BEFORE submitting: on_complete may
         // fire on another thread before SubmitRaw even returns.
@@ -392,34 +377,20 @@ void PirServerNode::ServeConnection(int fd) {
         ServingFrontEnd::RawSubmitOptions opts;
         opts.priority = req.priority;
         opts.deadline_us = req.deadline_us;
-        if (req.has_range) {
-            const std::uint32_t shard_index = shard_assign.shard_index;
-            opts.on_raw_partial = [shared, id,
-                                   shard_index](RawTablePartial&& part) {
-                ShardPartialFrame out;
-                out.request_id = id;
-                out.shard_index = shard_index;
-                out.hot = part.hot;
-                out.server0 = std::move(part.server0);
-                out.server1 = std::move(part.server1);
-                shared->SendEncoded(FrameType::kShardPartial,
-                                    [&out](std::vector<std::uint8_t>& buf) {
-                                        EncodeShardPartialInto(out, buf);
-                                    });
-            };
-        } else {
-            opts.on_raw_partial = [shared, id](RawTablePartial&& part) {
-                TablePartialFrame out;
-                out.request_id = id;
-                out.hot = part.hot;
-                out.server0 = std::move(part.server0);
-                out.server1 = std::move(part.server1);
-                shared->SendEncoded(FrameType::kTablePartial,
-                                    [&out](std::vector<std::uint8_t>& buf) {
-                                        EncodeTablePartialInto(out, buf);
-                                    });
-            };
-        }
+        const std::uint32_t shard_index = shard_assign.shard_index;
+        opts.on_raw_partial = [shared, id,
+                               shard_index](RawTablePartial&& part) {
+            ShardPartialFrame out;
+            out.request_id = id;
+            out.shard_index = shard_index;
+            out.hot = part.hot;
+            out.server0 = std::move(part.server0);
+            out.server1 = std::move(part.server1);
+            shared->SendEncoded(FrameType::kShardPartial,
+                                [&out](std::vector<std::uint8_t>& buf) {
+                                    EncodeShardPartialInto(out, buf);
+                                });
+        };
         opts.on_complete = [this, shared, id](RequestStatus status) {
             LookupCompleteFrame done;
             done.request_id = id;
@@ -460,17 +431,12 @@ void PirServerNode::ServeConnection(int fd) {
             // Account the rows this request scans on this node (per key,
             // over the request's eval window). The sharded bench divides
             // this by completed requests to verify per-node work ∝ 1/K.
-            const std::uint64_t full_w =
-                req.has_range ? req.full_row_end - req.full_row_begin
-                              : hello_.full_bin_size;
             std::uint64_t rows =
-                full_w * (req.full_keys0.size() + req.full_keys1.size());
+                (req.full_row_end - req.full_row_begin) *
+                (req.full_keys0.size() + req.full_keys1.size());
             if (req.has_hot) {
-                const std::uint64_t hot_w =
-                    req.has_range ? req.hot_row_end - req.hot_row_begin
-                                  : hello_.hot_bin_size;
-                rows +=
-                    hot_w * (req.hot_keys0.size() + req.hot_keys1.size());
+                rows += (req.hot_row_end - req.hot_row_begin) *
+                        (req.hot_keys0.size() + req.hot_keys1.size());
             }
             MutexLock lock(mu_);
             stats_.rows_scanned += rows;

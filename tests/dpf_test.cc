@@ -290,7 +290,7 @@ TEST(DpfEvalRangeBatchedTest, MatchesDfsEvalRangeAcrossSeedsAndLevels) {
     for (PrfKind prf :
          {PrfKind::kAes128, PrfKind::kChacha20, PrfKind::kSipHash}) {
         for (int log_domain : {1, 2, 5, 10, 13}) {
-            for (std::uint32_t out_words : {1u, 3u}) {
+            for (int out_words : {1, 3}) {
                 Rng rng(1000 + log_domain);
                 const Dpf dpf(DpfParams{log_domain, prf, out_words});
                 const std::uint64_t domain = std::uint64_t{1} << log_domain;

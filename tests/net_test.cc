@@ -7,11 +7,12 @@
 // decode) without crashing; the CI asan/ubsan jobs make "without
 // crashing" a real check. Socket framing is covered over a socketpair.
 //
-// Serving tier: a ReplicaRouter over 1/2/4 loopback PirServerNodes must
-// produce results BIT-IDENTICAL to in-process serving for every batch
-// size, admission backpressure on a node must propagate to the remote
-// caller as an explicit rejection, and killing a replica mid-run must
-// reroute to the survivors with every request still completing.
+// Serving tier: a ShardedRouter over one shard of 1/2/4 loopback
+// PirServerNode replicas, and over 1/2/4/8 shards, must produce results
+// BIT-IDENTICAL to in-process serving for every batch size, admission
+// backpressure on a node must propagate to the remote caller as an
+// explicit rejection, and killing a replica mid-run must fail over to the
+// survivors with every request still completing.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -28,7 +29,6 @@
 #include "src/core/serving.h"
 #include "src/ml/embedding.h"
 #include "src/net/remote_client.h"
-#include "src/net/replica_router.h"
 #include "src/net/server_node.h"
 #include "src/net/sharded_router.h"
 #include "src/net/wire.h"
@@ -56,15 +56,6 @@ net::LookupRequestFrame SampleLookupRequest() {
     req.hot_keys0 = {{11, 12}};
     req.hot_keys1 = {{13}};
     return req;
-}
-
-net::TablePartialFrame SampleTablePartial() {
-    net::TablePartialFrame part;
-    part.request_id = 42;
-    part.hot = false;
-    part.server0 = {{MakeU128(1, 2), MakeU128(3, 4)}, {MakeU128(5, 6)}};
-    part.server1 = {{MakeU128(7, 8), MakeU128(9, 10)}, {}};
-    return part;
 }
 
 net::LookupRequestFrame SampleRangedLookupRequest() {
@@ -117,19 +108,31 @@ TEST(WireTest, FrameHeaderValidation) {
                                &out),
               DecodeStatus::kBadMagic);
 
-    // Version skew.
+    // Version skew, including a v2 peer (the last protocol revision with
+    // the unranged table-partial frame).
     bad = bytes;
     bad[4] += 1;
     EXPECT_EQ(net::DecodeFrame(bad.data(), bad.size(), net::MaxFramePayload(),
                                &out),
               DecodeStatus::kBadVersion);
-
-    // Unknown frame type.
     bad = bytes;
-    bad[6] = 0x7f;
+    const std::uint16_t v2 = 2;
+    std::memcpy(bad.data() + 4, &v2, 2);
     EXPECT_EQ(net::DecodeFrame(bad.data(), bad.size(), net::MaxFramePayload(),
                                &out),
-              DecodeStatus::kBadType);
+              DecodeStatus::kBadVersion);
+
+    // Unknown frame type, and the retired type 5 (the v2 unranged table
+    // partial), which must never decode again.
+    for (const std::uint16_t type : {std::uint16_t{0x7f}, std::uint16_t{5},
+                                     std::uint16_t{0}, std::uint16_t{11}}) {
+        bad = bytes;
+        std::memcpy(bad.data() + 6, &type, 2);
+        EXPECT_EQ(net::DecodeFrame(bad.data(), bad.size(),
+                                   net::MaxFramePayload(), &out),
+                  DecodeStatus::kBadType)
+            << "type " << type;
+    }
 
     // Payload length beyond the cap.
     bad = bytes;
@@ -172,18 +175,6 @@ TEST(WireTest, PayloadRoundtrips) {
     EXPECT_EQ(req2.full_keys1, req.full_keys1);
     EXPECT_EQ(req2.hot_keys0, req.hot_keys0);
     EXPECT_EQ(req2.hot_keys1, req.hot_keys1);
-
-    const auto part = SampleTablePartial();
-    bytes = net::EncodeTablePartial(part);
-    net::TablePartialFrame part2;
-    ASSERT_TRUE(net::DecodeTablePartial(bytes.data(), bytes.size(), &part2));
-    EXPECT_EQ(part2.request_id, part.request_id);
-    EXPECT_EQ(part2.hot, part.hot);
-    EXPECT_EQ(part2.server0, part.server0);
-    EXPECT_EQ(part2.server1, part.server1);
-    // Re-encoding reproduces the exact bytes (the bit-identity contract at
-    // the frame level).
-    EXPECT_EQ(net::EncodeTablePartial(part2), bytes);
 
     net::RejectedFrame rej{7, AdmissionStatus::kQueueFull};
     bytes = net::EncodeRejected(rej);
@@ -289,12 +280,10 @@ TEST(WireTest, ShardStructuralRejections) {
     EXPECT_FALSE(
         net::DecodeLookupRequest(bytes.data(), bytes.size(), &req_out));
 
-    // ShardPartial whose response word count exceeds the actual bytes —
-    // rejected before any allocation sized from it (the count lives after
-    // id 8 + shard_index 4 + hot 1 + nbins 4).
+    // The shard-partial hot flag is a strict boolean byte too (offset:
+    // id 8 + shard_index 4).
     bytes = net::EncodeShardPartial(SampleShardPartial());
-    const std::uint32_t lying_words = 1u << 30;
-    std::memcpy(bytes.data() + 17, &lying_words, 4);
+    bytes[12] = 2;
     net::ShardPartialFrame part_out;
     EXPECT_FALSE(
         net::DecodeShardPartial(bytes.data(), bytes.size(), &part_out));
@@ -321,12 +310,6 @@ TEST(WireTest, TruncationCorpusNeverCrashes) {
                 &req))
                 << "payload truncated to " << (len - net::kHeaderBytes);
         }
-    }
-    // Same corpus against the table-partial decoder.
-    const auto part_bytes = net::EncodeTablePartial(SampleTablePartial());
-    for (std::size_t len = 0; len < part_bytes.size(); ++len) {
-        net::TablePartialFrame part;
-        EXPECT_FALSE(net::DecodeTablePartial(part_bytes.data(), len, &part));
     }
     // ... the ranged lookup-request decoder ...
     const auto ranged_bytes =
@@ -369,7 +352,6 @@ TEST(WireTest, BitFlipCorpusNeverCrashes) {
                                      net::MaxFramePayload(), &out);
                 if (status != DecodeStatus::kOk) continue;
                 net::LookupRequestFrame req;
-                net::TablePartialFrame part;
                 net::ShardHelloFrame sh;
                 net::ShardPartialFrame shard_part;
                 net::RejectedFrame rej;
@@ -380,10 +362,6 @@ TEST(WireTest, BitFlipCorpusNeverCrashes) {
                     case FrameType::kLookupRequest:
                         net::DecodeLookupRequest(out.payload.data(),
                                                  out.payload.size(), &req);
-                        break;
-                    case FrameType::kTablePartial:
-                        net::DecodeTablePartial(out.payload.data(),
-                                                out.payload.size(), &part);
                         break;
                     case FrameType::kShardHello:
                         net::DecodeShardHello(out.payload.data(),
@@ -437,24 +415,28 @@ TEST(WireTest, LengthLyingCountsRejected) {
     EXPECT_FALSE(
         net::DecodeLookupRequest(payload.data(), payload.size(), &req));
 
-    // TablePartial claiming a huge bin count.
-    std::vector<std::uint8_t> part_payload(8 + 1, 0);
+    // ShardPartial claiming a huge bin count (the count lives after
+    // id 8 + shard_index 4 + hot 1).
+    std::vector<std::uint8_t> part_payload(8 + 4 + 1, 0);
     part_payload.resize(part_payload.size() + 4);
     std::memcpy(part_payload.data() + part_payload.size() - 4, &lie, 4);
-    net::TablePartialFrame part;
-    EXPECT_FALSE(net::DecodeTablePartial(part_payload.data(),
+    net::ShardPartialFrame part;
+    EXPECT_FALSE(net::DecodeShardPartial(part_payload.data(),
                                          part_payload.size(), &part));
 
-    // TablePartial whose response word count exceeds the actual bytes.
-    net::TablePartialFrame honest;
+    // ShardPartial whose response word count exceeds the actual bytes.
+    net::ShardPartialFrame honest;
     honest.request_id = 1;
+    honest.shard_index = 1;
     honest.server0 = {{MakeU128(1, 1)}};
     honest.server1 = {{MakeU128(2, 2)}};
-    auto bytes = net::EncodeTablePartial(honest);
-    // The first response's word count lives right after id(8)+hot(1)+n(4).
+    auto bytes = net::EncodeShardPartial(honest);
+    ASSERT_TRUE(net::DecodeShardPartial(bytes.data(), bytes.size(), &part));
+    // The first response's word count lives right after
+    // id(8)+shard_index(4)+hot(1)+n(4).
     const std::uint32_t lying_words = 1u << 30;
-    std::memcpy(bytes.data() + 13, &lying_words, 4);
-    EXPECT_FALSE(net::DecodeTablePartial(bytes.data(), bytes.size(), &part));
+    std::memcpy(bytes.data() + 8 + 4 + 1 + 4, &lying_words, 4);
+    EXPECT_FALSE(net::DecodeShardPartial(bytes.data(), bytes.size(), &part));
 }
 
 TEST(WireTest, SocketFraming) {
@@ -503,10 +485,10 @@ ServiceConfig NetBaseConfig() {
     return config;
 }
 
-// Everything needed for a replicated loopback deployment: one in-process
-// reference service (expected results), one planning service (the remote
-// client's side of the wire), and N identically-configured replica
-// services, each behind a PirServerNode.
+// Everything needed for a loopback fleet: one in-process reference
+// service (expected results), one planning service (the remote client's
+// side of the wire), and N identically-configured node services, each
+// behind a PirServerNode.
 struct NetWorld {
     NetWorld(const ServiceConfig& config, std::size_t num_replicas,
              std::uint64_t vocab = 512) {
@@ -543,16 +525,9 @@ struct NetWorld {
         return std::make_unique<PrivateEmbeddingService>(*emb, stats, config);
     }
 
-    std::vector<net::ReplicaRouter::Endpoint> Endpoints() const {
-        std::vector<net::ReplicaRouter::Endpoint> endpoints;
-        for (const auto& node : nodes) {
-            endpoints.push_back({"127.0.0.1", node->port()});
-        }
-        return endpoints;
-    }
-
     // Groups the nodes into shard_count shards of equal replica count
-    // (consecutive nodes become replicas of the same shard).
+    // (consecutive nodes become replicas of the same shard); one shard is
+    // a replicated deployment over every node.
     std::vector<std::vector<net::ShardedRouter::Endpoint>> ShardEndpoints(
         std::size_t shard_count) const {
         const std::size_t per_shard = nodes.size() / shard_count;
@@ -573,6 +548,16 @@ struct NetWorld {
     std::vector<std::unique_ptr<net::PirServerNode>> nodes;
 };
 
+// Lookups each node has completed, in node order: the per-replica spread
+// of a replicated deployment.
+std::vector<std::uint64_t> NodeCompleted(const NetWorld& world) {
+    std::vector<std::uint64_t> completed;
+    for (const auto& node : world.nodes) {
+        completed.push_back(node->stats().completed);
+    }
+    return completed;
+}
+
 using LookupResult = PrivateEmbeddingService::LookupResult;
 
 void ExpectBitIdentical(const LookupResult& a, const LookupResult& b) {
@@ -583,7 +568,7 @@ void ExpectBitIdentical(const LookupResult& a, const LookupResult& b) {
 }
 
 // Networked results must be bit-identical to in-process serving for every
-// replica count and batch size.
+// replica count and batch size (one shard of R replicas).
 TEST(NetServingTest, LoopbackBitIdentityMatrix) {
     const std::vector<std::vector<std::uint64_t>> batches = {
         {3},
@@ -592,10 +577,10 @@ TEST(NetServingTest, LoopbackBitIdentityMatrix) {
     };
     for (const std::size_t num_replicas : {1u, 2u, 4u}) {
         NetWorld world(NetBaseConfig(), num_replicas);
-        net::ReplicaRouter::Options opts;
+        net::ShardedRouter::Options opts;
         opts.health_thread = false;  // deterministic replica choice
-        net::ReplicaRouter router(world.planning.get(), world.Endpoints(),
-                                  opts);
+        net::ShardedRouter router(world.planning.get(),
+                                  world.ShardEndpoints(1), opts);
         auto expected_client = world.expected->MakeClient();
         auto remote_client = world.planning->MakeClient();
         std::size_t lookups = 0;
@@ -604,20 +589,24 @@ TEST(NetServingTest, LoopbackBitIdentityMatrix) {
                 const LookupResult want = expected_client->Lookup(wanted);
                 const auto got = router.Lookup(remote_client.get(), wanted);
                 ExpectBitIdentical(want, got.result);
-                EXPECT_FALSE(got.rerouted);
+                EXPECT_EQ(got.shards_failed_over, 0u);
                 ++lookups;
             }
         }
         const auto stats = router.stats();
         EXPECT_EQ(stats.requests, lookups);
         EXPECT_EQ(stats.failovers, 0u);
-        // Round-robin spreads the work over every replica.
-        const auto answered = router.per_replica_answered();
-        ASSERT_EQ(answered.size(), num_replicas);
-        for (std::size_t i = 0; i < answered.size(); ++i) {
-            EXPECT_GT(answered[i], 0u) << "replica " << i << " never answered"
-                                       << " (replicas=" << num_replicas << ")";
+        // Round-robin spreads the work over every replica, and each lookup
+        // is answered by exactly one of them.
+        const auto completed = NodeCompleted(world);
+        std::uint64_t total = 0;
+        for (std::size_t i = 0; i < completed.size(); ++i) {
+            EXPECT_GT(completed[i], 0u)
+                << "replica " << i << " never answered"
+                << " (replicas=" << num_replicas << ")";
+            total += completed[i];
         }
+        EXPECT_EQ(total, lookups);
     }
 }
 
@@ -644,9 +633,10 @@ TEST(NetServingTest, AdmissionRejectionPropagates) {
     ASSERT_TRUE(h2.ok());
     ASSERT_TRUE(h3.ok());
 
-    net::ReplicaRouter::Options opts;
+    net::ShardedRouter::Options opts;
     opts.health_thread = false;
-    net::ReplicaRouter router(world.planning.get(), world.Endpoints(), opts);
+    net::ShardedRouter router(world.planning.get(), world.ShardEndpoints(1),
+                              opts);
     auto client = world.planning->MakeClient();
     try {
         router.Lookup(client.get(), {7, 8}, RequestPriority::kBatch);
@@ -655,6 +645,7 @@ TEST(NetServingTest, AdmissionRejectionPropagates) {
         EXPECT_EQ(e.admission(), AdmissionStatus::kQueueFull);
     }
     EXPECT_EQ(router.stats().rejected, 1u);
+    EXPECT_EQ(router.stats().failovers, 0u);
     const auto node_stats = world.nodes[0]->stats();
     EXPECT_EQ(node_stats.rejected, 1u);
 
@@ -663,15 +654,16 @@ TEST(NetServingTest, AdmissionRejectionPropagates) {
     h3.Wait();
 }
 
-// Killing a replica mid-run: the router marks it unhealthy, reroutes the
-// failed request to a survivor, and every request still completes with
-// bit-identical results.
+// Killing a replica mid-run: the router marks it unhealthy, fails the
+// broken request over to a survivor, and every request still completes
+// with bit-identical results.
 TEST(NetServingTest, FailoverReroutesAndCompletes) {
     NetWorld world(NetBaseConfig(), /*num_replicas=*/2);
-    net::ReplicaRouter::Options opts;
+    net::ShardedRouter::Options opts;
     opts.health_thread = false;
     opts.request_timeout_ms = 2'000;
-    net::ReplicaRouter router(world.planning.get(), world.Endpoints(), opts);
+    net::ShardedRouter router(world.planning.get(), world.ShardEndpoints(1),
+                              opts);
     auto expected_client = world.expected->MakeClient();
     auto remote_client = world.planning->MakeClient();
 
@@ -680,47 +672,54 @@ TEST(NetServingTest, FailoverReroutesAndCompletes) {
         ExpectBitIdentical(expected_client->Lookup(wanted),
                            router.Lookup(remote_client.get(), wanted).result);
     }
-    EXPECT_EQ(router.healthy_count(), 2u);
+    EXPECT_EQ(router.healthy_count(0), 2u);
 
     // Kill replica 0 hard (connections die mid-stream, listener closes).
     world.nodes[0]->Abort();
+    const std::uint64_t dead_completed = world.nodes[0]->stats().completed;
+    const std::uint64_t live_completed = world.nodes[1]->stats().completed;
 
-    // Every subsequent request completes; the ones that pick the dead
-    // replica first are transparently rerouted.
+    // Every subsequent request completes on the survivor; the ones that
+    // pick the dead replica first are transparently failed over.
     std::uint64_t rerouted = 0;
     for (int i = 0; i < 6; ++i) {
         const LookupResult want = expected_client->Lookup(wanted);
         const auto got = router.Lookup(remote_client.get(), wanted);
         ExpectBitIdentical(want, got.result);
-        EXPECT_EQ(got.replica, 1u);
-        if (got.rerouted) ++rerouted;
+        EXPECT_LE(got.shards_failed_over, 1u);
+        rerouted += got.shards_failed_over;
     }
     EXPECT_GE(rerouted, 1u);
+    EXPECT_EQ(world.nodes[0]->stats().completed, dead_completed);
+    EXPECT_EQ(world.nodes[1]->stats().completed, live_completed + 6);
     EXPECT_EQ(router.stats().failovers, rerouted);
+    EXPECT_EQ(router.per_shard_failovers(),
+              std::vector<std::uint64_t>{rerouted});
     EXPECT_GE(router.stats().transport_errors, rerouted);
 
     // A health sweep confirms the death; later picks skip the replica
-    // without burning a retry.
+    // without burning a failover.
     router.CheckNow();
-    EXPECT_EQ(router.healthy_count(), 1u);
+    EXPECT_EQ(router.healthy_count(0), 1u);
     const auto got = router.Lookup(remote_client.get(), wanted);
-    EXPECT_EQ(got.replica, 1u);
-    EXPECT_FALSE(got.rerouted);
+    EXPECT_EQ(got.shards_failed_over, 0u);
+    EXPECT_EQ(world.nodes[1]->stats().completed, live_completed + 7);
 }
 
 // The background health thread flips a dead replica unhealthy on its own.
 TEST(NetServingTest, HealthThreadMarksDeadReplica) {
     NetWorld world(NetBaseConfig(), /*num_replicas=*/2);
-    net::ReplicaRouter::Options opts;
+    net::ShardedRouter::Options opts;
     opts.health_period_ms = 20;
     opts.request_timeout_ms = 500;
-    net::ReplicaRouter router(world.planning.get(), world.Endpoints(), opts);
+    net::ShardedRouter router(world.planning.get(), world.ShardEndpoints(1),
+                              opts);
     world.nodes[1]->Abort();
     // Wait for a sweep to notice (bounded).
-    for (int i = 0; i < 200 && router.healthy_count() != 1; ++i) {
+    for (int i = 0; i < 200 && router.healthy_count(0) != 1; ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    EXPECT_EQ(router.healthy_count(), 1u);
+    EXPECT_EQ(router.healthy_count(0), 1u);
     EXPECT_GT(router.stats().health_probes, 0u);
 }
 
@@ -791,15 +790,35 @@ TEST(ShardMergeTest, MergeShardShares) {
 // Sharded scatter-gather must be bit-identical to in-process serving for
 // every shard count and batch size — including K=8, where the hot table's
 // 4-row bins leave shards 4..7 with EMPTY eval windows (their zero shares
-// must merge away cleanly).
+// must merge away cleanly), and a hot table with a SHORT last bin (256
+// rows in 12 bins of 22, the last holding 14), where at K=4 the last
+// shard's window [18, 22) lies wholly past that bin's rows.
 TEST(NetServingTest, ShardedBitIdentityMatrix) {
     const std::vector<std::vector<std::uint64_t>> batches = {
         {3},
         {1, 65, 200, 511},
         {0, 7, 64, 65, 128, 300, 400, 500},
     };
-    for (const std::size_t shard_count : {1u, 2u, 4u, 8u}) {
-        NetWorld world(NetBaseConfig(), shard_count);
+    ServiceConfig short_bin = NetBaseConfig();
+    short_bin.codesign.hot_size = 256;
+    short_bin.codesign.q_hot = 12;
+    struct Case {
+        ServiceConfig config;
+        std::size_t shard_count;
+    };
+    std::vector<Case> cases;
+    for (const std::size_t k : {1u, 2u, 4u, 8u}) {
+        cases.push_back({NetBaseConfig(), k});
+    }
+    for (const std::size_t k : {1u, 2u, 4u}) cases.push_back({short_bin, k});
+    for (const Case& c : cases) {
+        const std::size_t shard_count = c.shard_count;
+        NetWorld world(c.config, shard_count);
+        if (c.config.codesign.q_hot == 12) {
+            const Pbr& hot = *world.planning->hot_pbr();
+            ASSERT_LT(hot.BinEntries(hot.num_bins() - 1), hot.bin_size())
+                << "the short-last-bin case lost its short bin";
+        }
         net::ShardedRouter::Options opts;
         opts.health_thread = false;  // deterministic replica choice
         net::ShardedRouter router(world.planning.get(),
@@ -825,7 +844,8 @@ TEST(NetServingTest, ShardedBitIdentityMatrix) {
         for (std::size_t k = 0; k < shard_count; ++k) {
             const auto node_stats = world.nodes[k]->stats();
             EXPECT_EQ(node_stats.completed, lookups) << "shard " << k;
-            EXPECT_EQ(node_stats.shard_requests, lookups) << "shard " << k;
+            EXPECT_EQ(node_stats.requests, lookups) << "shard " << k;
+            EXPECT_EQ(node_stats.rejected, 0u) << "shard " << k;
         }
     }
 }
@@ -903,20 +923,44 @@ TEST(NetServingTest, PlanningOnlyRejectsLocalSubmission) {
     EXPECT_EQ(handle.admission(), AdmissionStatus::kInvalidRequest);
 }
 
-// A ranged request on a connection that never did the shard handshake is
-// an explicit per-request rejection, not a dropped connection.
+// A ranged request on a connection that never did the shard handshake,
+// and an unranged request on any connection, are explicit per-request
+// rejections, not dropped connections.
 TEST(NetServingTest, RangedRequestWithoutShardHelloRejected) {
     NetWorld world(NetBaseConfig(), /*num_replicas=*/1);
     const net::Hello hello = net::ServiceHello(*world.planning);
     auto conn = net::NodeConnection::Dial("127.0.0.1", world.nodes[0]->port(),
                                           hello, /*timeout_ms=*/2'000);
     ASSERT_NE(conn, nullptr);
-    // A well-formed ranged request (the fixture decodes cleanly); the
-    // rejection must come from the missing handshake, not a decode error.
-    const net::LookupRequestFrame req = SampleRangedLookupRequest();
-    const auto reply = conn->Lookup(req, /*timeout_ms=*/2'000);
-    EXPECT_EQ(reply.status, net::NodeConnection::LookupStatus::kRejected);
-    EXPECT_EQ(reply.rejection, AdmissionStatus::kInvalidRequest);
+    auto expect_rejected = [](net::NodeConnection& c,
+                              const net::LookupRequestFrame& req) {
+        ASSERT_TRUE(c.SendLookup(req));
+        const auto reply =
+            c.CollectShard(req.request_id, req.has_hot, /*timeout_ms=*/2'000);
+        EXPECT_EQ(reply.status, net::NodeConnection::LookupStatus::kRejected);
+        EXPECT_EQ(reply.rejection, AdmissionStatus::kInvalidRequest);
+        EXPECT_TRUE(c.usable());
+    };
+    // Well-formed requests (the fixtures decode cleanly); the rejection
+    // must come from the missing handshake or window, not a decode error.
+    expect_rejected(*conn, SampleRangedLookupRequest());
+    expect_rejected(*conn, SampleLookupRequest());
+
+    // After the shard handshake, an unranged request is still rejected.
+    auto sharded = net::NodeConnection::Dial(
+        "127.0.0.1", world.nodes[0]->port(), hello, /*timeout_ms=*/2'000);
+    ASSERT_NE(sharded, nullptr);
+    net::ShardHelloFrame assign;
+    assign.shard_index = 0;
+    assign.shard_count = 1;
+    assign.full_row_end = hello.full_bin_size;
+    assign.hot_row_end = hello.hot_bin_size;
+    ASSERT_TRUE(sharded->ShardHello(assign, /*timeout_ms=*/2'000));
+    expect_rejected(*sharded, SampleLookupRequest());
+    const auto stats = world.nodes[0]->stats();
+    EXPECT_EQ(stats.requests, 3u);
+    EXPECT_EQ(stats.rejected, 3u);
+    EXPECT_EQ(stats.bad_frames, 0u);
 }
 
 // A shard hello whose windows disagree with the node's canonical
@@ -956,9 +1000,10 @@ TEST(NetServingTest, ShardHelloMismatchedPlanRefused) {
 // the connection dies; later requests are rejected at dial time.
 TEST(NetServingTest, StopDrainsBeforeClosing) {
     NetWorld world(NetBaseConfig(), /*num_replicas=*/1);
-    net::ReplicaRouter::Options opts;
+    net::ShardedRouter::Options opts;
     opts.health_thread = false;
-    net::ReplicaRouter router(world.planning.get(), world.Endpoints(), opts);
+    net::ShardedRouter router(world.planning.get(), world.ShardEndpoints(1),
+                              opts);
     auto client = world.planning->MakeClient();
     ASSERT_NO_THROW(router.Lookup(client.get(), {1, 2, 3}));
 
