@@ -7,20 +7,19 @@
 // Answers a batch of PIR queries against one table several ways — the
 // sequential reference loop, per-query sharded Answer, and the batched
 // BatchAnswer path on the row-major table, plus BatchAnswer against a
-// tiled-layout copy with pinned shard placement — at several thread
-// counts, and reports queries/sec plus speedup over the sequential
-// baseline. A second section pits the CPU kernel strategies (scalar,
-// simd_prg, multiquery_tile) against each other on one thread with the
-// AES-128 MMO PRG, per layout, reporting each kernel's speedup over the
-// scalar reference. A third section isolates the u128 mat-vec accumulator
+// tiled-layout copy on the same pool — at several thread counts, and
+// reports queries/sec plus speedup over the sequential baseline. A second
+// section pits the CPU kernel strategies (scalar, multiquery_tile)
+// against each other on one thread with the AES-128 MMO PRG, per layout,
+// reporting each kernel's speedup over the scalar reference. A third
+// section isolates the u128 mat-vec accumulator
 // (src/kernels/accumulate.h): each supported ISA walks the tiled table
 // with precomputed shares, reporting ns/row and speedup over the scalar
 // accumulator as accum_* JSON rows. Both tables hold identical logical
 // rows and the bench fails (exit 1) if any batched/kernel/accumulator
 // results differ from the reference. Speedup of the sharded rows tracks
-// the physical core count:
-// on a 1-core host they only measure the engine's overhead; run on >= 8
-// cores to see the tiled+pinned layout pull ahead.
+// the physical core count: on a 1-core host they only measure the
+// engine's overhead.
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -114,20 +113,14 @@ int main(int argc, char** argv) {
     bool responses_identical = true;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{4}, std::size_t{8}}) {
-        // Core-pinned workers, matching how a service pool runs under
-        // ShardPlacement::kPinned (shared by every config at this thread
-        // count, so the comparison stays fair).
-        ThreadPool pool(threads, /*pin_to_cores=*/true);
+        // One pool shared by every config at this thread count, so the
+        // comparison stays fair.
+        ThreadPool pool(threads);
         // 2 shards per thread keeps every worker busy through the ragged
         // tail of the row ranges.
         const std::size_t shards = 2 * threads;
         PirServer server(&table, ShardingOptions{shards, &pool});
-        // The tiled configuration pairs the cache-aware layout with pinned
-        // shard placement: shard s always runs on worker s % threads, so
-        // repeated batches stream each tile from the same core's cache.
-        PirServer tiled_server(
-            &tiled_table,
-            ShardingOptions{shards, &pool, ShardPlacement::kPinned});
+        PirServer tiled_server(&tiled_table, ShardingOptions{shards, &pool});
 
         const double shard_sec = MeasureSeconds(iters, [&] {
             for (const auto& k : keys) server.Answer(k.data(), k.size());
@@ -153,7 +146,7 @@ int main(int argc, char** argv) {
                       threads, shards);
         std::printf("%-30s %12.2f %12.1f %8.2fx\n", label, batch_sec * 1e3,
                     batch / batch_sec, seq_sec / batch_sec);
-        std::snprintf(label, sizeof(label), "tiled+pin   t=%zu shards=%zu",
+        std::snprintf(label, sizeof(label), "tiled       t=%zu shards=%zu",
                       threads, shards);
         std::printf("%-30s %12.2f %12.1f %8.2fx  (%.2fx vs row-major)\n",
                     label, tiled_sec * 1e3, batch / tiled_sec,
@@ -195,9 +188,7 @@ int main(int argc, char** argv) {
     for (const CpuKernelKind kernel : AllCpuKernelKinds()) {
         for (int l = 0; l < 2; ++l) {
             PirServer server(layout_tables[l],
-                             ShardingOptions{1, &single,
-                                             ShardPlacement::kDynamic,
-                                             kernel});
+                             ShardingOptions{1, &single, kernel});
             const double sec = MeasureSeconds(iters, [&] {
                 server.BatchAnswer(aes_keys);
             });

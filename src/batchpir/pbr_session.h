@@ -20,7 +20,7 @@ class PbrSession {
   public:
     // `sharding` configures the server-side answer engine: every per-bin
     // query of a batched retrieval becomes one engine job (further split
-    // into num_shards row shards, placed per ShardPlacement), so the whole
+    // into num_shards row shards), so the whole
     // batch is answered in one pool submission. The engine's shard kernel
     // follows the table's storage layout (row-major or tiled) at answer
     // time, so one session serves tables of any layout. Defaults keep the

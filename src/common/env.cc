@@ -15,13 +15,11 @@ const std::vector<GpudpfEnvVar>& GpudpfEnvTable() {
         {"GPUDPF_TABLE_LAYOUT",
          "process-default physical table layout: row_major | tiled"},
         {"GPUDPF_CPU_KERNEL",
-         "process-default CPU kernel: scalar | simd_prg | multiquery_tile"},
+         "process-default CPU kernel: scalar | multiquery_tile"},
         {"GPUDPF_FORCE_SCALAR",
          "1 = mask the CPU-feature probe (software AES, scalar accumulate)"},
         {"GPUDPF_ACCUMULATE",
          "process-default mat-vec accumulator ISA: scalar | avx2 | avx512"},
-        {"GPUDPF_NUMA",
-         "NUMA first-touch tile placement: auto | on | off"},
         {"GPUDPF_NET_MAX_FRAME_MB",
          "wire-protocol frame payload cap in MiB (default 64)"},
         {"GPUDPF_NET_REQUEST_TIMEOUT_MS",

@@ -1,7 +1,7 @@
 // Central registry of every GPUDPF_* environment knob.
 //
 // The process-default selections scattered across the tree (table layout,
-// CPU kernel, accumulator ISA, NUMA mode, feature-probe mask, networked
+// CPU kernel, accumulator ISA, feature-probe mask, networked
 // serving) all read their env overrides through GpudpfEnv(), which only
 // accepts names registered in the table below. That gives one documented
 // list (`GpudpfEnvTable()`, mirrored in the README), and lets service
@@ -9,10 +9,9 @@
 // the classic "typo'd knob looked applied" failure.
 //
 //   GPUDPF_TABLE_LAYOUT            row_major | tiled
-//   GPUDPF_CPU_KERNEL              scalar | simd_prg | multiquery_tile
+//   GPUDPF_CPU_KERNEL              scalar | multiquery_tile
 //   GPUDPF_FORCE_SCALAR            1 = mask the CPU-feature probe
 //   GPUDPF_ACCUMULATE              scalar | avx2 | avx512
-//   GPUDPF_NUMA                    auto | on | off
 //   GPUDPF_NET_MAX_FRAME_MB        wire-frame payload cap, MiB (default 64)
 //   GPUDPF_NET_REQUEST_TIMEOUT_MS  router per-request timeout (default 10000)
 //   GPUDPF_NET_HEALTH_PERIOD_MS    router health-check period (default 100)

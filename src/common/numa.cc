@@ -1,16 +1,14 @@
 #include "src/common/numa.h"
 
-#include "src/common/env.h"
-
 #include <cstdlib>
 #include <fstream>
+#include <string>
 
 namespace gpudpf {
 namespace {
 
 // Counts the nodes in a sysfs range list like "0", "0-1" or "0,2-3".
-// Returns 1 on any parse or read failure: a wrong single-node answer only
-// skips an optimization, never breaks correctness.
+// Returns 1 on any parse or read failure: the count is only reported.
 int CountOnlineNodes() {
     std::ifstream in("/sys/devices/system/node/online");
     if (!in.is_open()) return 1;
@@ -48,56 +46,6 @@ const NumaTopology& GetNumaTopology() {
         return t;
     }();
     return topology;
-}
-
-const char* NumaModeName(NumaMode mode) {
-    switch (mode) {
-        case NumaMode::kAuto:
-            return "auto";
-        case NumaMode::kOff:
-            return "off";
-        case NumaMode::kOn:
-            return "on";
-    }
-    return "unknown";
-}
-
-bool ParseNumaMode(const std::string& name, NumaMode* out) {
-    if (name == "auto") {
-        *out = NumaMode::kAuto;
-        return true;
-    }
-    if (name == "off") {
-        *out = NumaMode::kOff;
-        return true;
-    }
-    if (name == "on") {
-        *out = NumaMode::kOn;
-        return true;
-    }
-    return false;
-}
-
-NumaMode DefaultNumaMode() {
-    static const NumaMode mode = [] {
-        NumaMode parsed = NumaMode::kAuto;
-        const char* env = GpudpfEnv("GPUDPF_NUMA");
-        if (env != nullptr) ParseNumaMode(env, &parsed);
-        return parsed;
-    }();
-    return mode;
-}
-
-bool NumaFirstTouchEnabled(NumaMode mode) {
-    switch (mode) {
-        case NumaMode::kOff:
-            return false;
-        case NumaMode::kOn:
-            return true;
-        case NumaMode::kAuto:
-            return GetNumaTopology().num_nodes > 1;
-    }
-    return false;
 }
 
 }  // namespace gpudpf

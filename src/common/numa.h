@@ -1,25 +1,12 @@
-// NUMA topology probe and first-touch placement policy.
+// NUMA topology probe.
 //
-// On multi-socket hosts, Linux backs a page with memory on the node of the
-// CPU that first writes it (first-touch). The seed allocated and zeroed
-// every PIR table from the loader thread, so the whole table landed on one
-// node and every remote worker paid cross-socket latency for the
-// memory-bound table walk. The fix needs no libnuma: TiledStorage defers
-// its zeroing pass and lets the worker that will own each shard under
-// ShardPlacement::kPinned touch that shard's tile pages first
-// (src/pir/table_layout.h), so tiles are node-local to the core that
-// streams them.
-//
-// This header owns the policy half: a sysfs node-count probe (no syscalls
-// beyond reading /sys/devices/system/node/online) and the
-// GPUDPF_NUMA / ServiceConfig knob deciding when the first-touch pass
-// runs. kAuto enables it only when the host actually has multiple nodes;
-// kOn forces the pass even on single-node hosts (same placement code path,
-// memory ends up on the only node — the smoke-testable degradation), kOff
-// restores the seed's loader-thread zeroing unconditionally.
+// Reads the online node count from sysfs (no libnuma, no syscalls beyond
+// reading /sys/devices/system/node/online) so service startup and the
+// benchmarks can report the host's memory topology next to their numbers.
+// Nothing in the tree places memory by node: every table is zeroed by the
+// thread that builds it, and shard tasks run on whichever pool worker is
+// free.
 #pragma once
-
-#include <string>
 
 namespace gpudpf {
 
@@ -31,21 +18,5 @@ struct NumaTopology {
 
 // Probed once at first use from /sys/devices/system/node/online.
 const NumaTopology& GetNumaTopology();
-
-enum class NumaMode { kAuto, kOff, kOn };
-
-const char* NumaModeName(NumaMode mode);
-
-// Parses "auto", "off" or "on"; returns false on anything else.
-bool ParseNumaMode(const std::string& name, NumaMode* out);
-
-// Process default: GPUDPF_NUMA when set to a valid mode name, else kAuto.
-// Read once at first use.
-NumaMode DefaultNumaMode();
-
-// Whether tiled tables should run the pinned-worker first-touch pass under
-// `mode`: kOn always, kOff never, kAuto only when the topology probe saw
-// more than one node.
-bool NumaFirstTouchEnabled(NumaMode mode);
 
 }  // namespace gpudpf

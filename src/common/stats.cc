@@ -26,16 +26,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(std::max(0.0, variance())); }
 
-void ConcurrentStat::Add(double x) {
-    MutexLock lock(mu_);
-    stat_.Add(x);
-}
-
-RunningStat ConcurrentStat::Snapshot() const {
-    MutexLock lock(mu_);
-    return stat_;
-}
-
 double Percentile(std::vector<double> samples, double p) {
     if (samples.empty()) return 0.0;
     std::sort(samples.begin(), samples.end());

@@ -1,18 +1,13 @@
 // Work-sharing thread pool with a two-level priority dequeue.
 //
 // Backs both the simulated-GPU block scheduler (each thread block becomes a
-// pool task) and the multi-threaded CPU DPF baseline. Besides the shared
-// work queue, each worker has a pinned queue fed by SubmitTo(): the sharded
-// answer engine routes a table shard's tasks to a stable worker so repeated
-// batches re-touch the same rows from the same core's warm cache.
+// pool task) and the multi-threaded CPU DPF baseline. All workers share one
+// work queue; whichever worker is free takes the next task.
 //
-// Every queue — shared and pinned alike — is two-level: kInteractive tasks
-// dequeue before kBatch tasks, FIFO within each class, so worker slots
-// freed early (e.g. by the answer engine skipping a cancelled request's
-// shards) go to live interactive work before background work. A worker
-// still drains its pinned queue (both classes) before touching the shared
-// queue, preserving the shard-residency guarantee pinned placement relies
-// on.
+// The queue is two-level: kInteractive tasks dequeue before kBatch tasks,
+// FIFO within each class, so worker slots freed early (e.g. by the answer
+// engine skipping a cancelled request's shards) go to live interactive
+// work before background work.
 //
 // Priority is strict only up to an aging bound: a batch task that has
 // waited batch_promote_age_us is promoted — the next dequeue takes it
@@ -42,8 +37,7 @@
 namespace gpudpf {
 
 // Scheduling class of one pool task. The pool dequeues kInteractive before
-// kBatch within the shared queue and within each worker's pinned queue;
-// submission order is preserved inside a class.
+// kBatch; submission order is preserved inside a class.
 enum class TaskPriority { kInteractive, kBatch };
 
 class ThreadPool {
@@ -57,13 +51,10 @@ class ThreadPool {
     static constexpr std::uint64_t kNeverPromoteBatch = UINT64_MAX;
 
     // Creates a pool with `threads` workers (0 = hardware concurrency).
-    // With pin_to_cores, worker i is best-effort bound to CPU core
-    // i % hardware_concurrency (Linux only; ignored elsewhere), so pinned
-    // task streams keep their cache working set on one physical core.
     // batch_promote_age_us bounds batch-behind-interactive queueing delay
     // (kNeverPromoteBatch = strict priority).
     explicit ThreadPool(
-        std::size_t threads = 0, bool pin_to_cores = false,
+        std::size_t threads = 0,
         std::uint64_t batch_promote_age_us = kDefaultBatchPromoteAgeUs);
     ~ThreadPool();
 
@@ -75,14 +66,6 @@ class ThreadPool {
     // Enqueues a task; tasks may not block on other pool tasks.
     void Submit(std::function<void()> fn,
                 TaskPriority priority = TaskPriority::kInteractive)
-        GPUDPF_EXCLUDES(mu_);
-
-    // Enqueues a task that only worker `worker % thread_count()` will run.
-    // Pinned tasks of one worker and one priority class run in submission
-    // order; the worker drains its pinned queue (interactive then batch)
-    // before taking from the shared queue.
-    void SubmitTo(std::size_t worker, std::function<void()> fn,
-                  TaskPriority priority = TaskPriority::kInteractive)
         GPUDPF_EXCLUDES(mu_);
 
     // Blocks until every submitted task has finished.
@@ -104,28 +87,22 @@ class ThreadPool {
         std::function<void()> fn;
         std::chrono::steady_clock::time_point enqueued;
     };
-    // Index 0 = kInteractive, 1 = kBatch; dequeue scans ascending unless
-    // the batch head has aged past the promotion bound.
-    using TwoLevelQueue = std::array<std::queue<QueuedTask>, 2>;
+    void WorkerLoop();
 
-    void WorkerLoop(std::size_t index);
-
-    // Pops the next task of `q` under the pool's priority rules.
-    // Pre: q not empty; mu_ held (queues are guarded by it).
-    std::function<void()> PopTwoLevel(TwoLevelQueue& q)
-        GPUDPF_REQUIRES(mu_);
+    // Pops the next task of tasks_ under the pool's priority rules.
+    // Pre: tasks_ not empty.
+    std::function<void()> PopTask() GPUDPF_REQUIRES(mu_);
 
     // Immutable after the constructor returns (workers never mutate it),
-    // so thread_count()/SubmitTo() read it lock-free.
+    // so thread_count() reads it lock-free.
     std::vector<std::thread> workers_;
     const std::chrono::steady_clock::duration batch_promote_age_;
     Mutex mu_;
     CondVar task_cv_;
     CondVar done_cv_;
-    TwoLevelQueue tasks_ GPUDPF_GUARDED_BY(mu_);
-    // One pinned two-level queue per worker, guarded by mu_ like the
-    // shared queue.
-    std::vector<TwoLevelQueue> pinned_ GPUDPF_GUARDED_BY(mu_);
+    // Index 0 = kInteractive, 1 = kBatch; dequeue scans ascending unless
+    // the batch head has aged past the promotion bound.
+    std::array<std::queue<QueuedTask>, 2> tasks_ GPUDPF_GUARDED_BY(mu_);
     std::size_t in_flight_ GPUDPF_GUARDED_BY(mu_) = 0;
     bool stop_ GPUDPF_GUARDED_BY(mu_) = false;
 };

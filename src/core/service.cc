@@ -7,6 +7,7 @@
 
 #include "src/common/cpuid.h"
 #include "src/common/env.h"
+#include "src/common/numa.h"
 #include "src/core/serving.h"
 #include "src/kernels/accumulate.h"
 #include "src/kernels/strategy.h"
@@ -17,8 +18,8 @@ namespace {
 // One line per process, on the first service construction: which CPU
 // kernel and accumulator ISA the answer engines will run, how many NUMA
 // nodes the probe saw, and what the CPU feature probe found — so a
-// deployment can tell from its log whether the AES-NI / AVX paths and
-// first-touch placement are live.
+// deployment can tell from its log whether the AES-NI / AVX paths are
+// live.
 std::once_flag g_kernel_log_once;
 void LogSelectedKernel(CpuKernelKind kind) {
     std::call_once(g_kernel_log_once, [kind] {
@@ -80,14 +81,8 @@ PrivateEmbeddingService::PrivateEmbeddingService(
                                     config.codesign.q_hot))
                    : nullptr),
       planner_(&layout_, hot_pbr_.get(), &full_pbr_),
-      // The pool is constructed before the tables (declaration order) so
-      // BuildPhysicalTable can route tiled zeroing through its pinned
-      // workers for NUMA first-touch placement.
       server_pool_(config.server_threads > 0
-                       ? std::make_unique<ThreadPool>(
-                             config.server_threads,
-                             /*pin_to_cores=*/config.shard_placement ==
-                                 ShardPlacement::kPinned)
+                       ? std::make_unique<ThreadPool>(config.server_threads)
                        : nullptr),
       full_table_(config.planning_only
                       ? nullptr
@@ -136,21 +131,7 @@ PirTable PrivateEmbeddingService::BuildPhysicalTable(
     const EmbeddingTable& embeddings,
     const std::vector<std::uint64_t>& owners) const {
     const std::size_t row_bytes = layout_.RowBytes(base_entry_bytes_);
-    // First-touch placement only helps (and only holds) when tiles have
-    // stable worker owners: tiled layout, pinned shard placement, and a
-    // dedicated pinned pool with more than one worker. The shard count
-    // must match the answer engine's so the zeroing partition is the
-    // serving partition.
-    TilePlacement placement;
-    if (NumaFirstTouchEnabled(config_.numa) &&
-        config_.table_layout == TableLayout::kTiled &&
-        config_.shard_placement == ShardPlacement::kPinned &&
-        server_pool_ != nullptr && server_pool_->thread_count() > 1) {
-        placement.pool = server_pool_.get();
-        placement.num_shards = config_.server_shards;
-    }
-    PirTable table(owners.size(), row_bytes, config_.table_layout,
-                   placement.pool != nullptr ? &placement : nullptr);
+    PirTable table(owners.size(), row_bytes, config_.table_layout);
     std::vector<std::uint8_t> row(row_bytes, 0);
     for (std::uint64_t r = 0; r < owners.size(); ++r) {
         std::fill(row.begin(), row.end(), 0);

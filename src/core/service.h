@@ -49,7 +49,6 @@
 #include "src/batchpir/pbr_session.h"
 #include "src/codesign/layout.h"
 #include "src/codesign/planner.h"
-#include "src/common/numa.h"
 #include "src/ml/embedding.h"
 #include "src/net/comm_model.h"
 #include "src/pir/answer_engine.h"
@@ -79,27 +78,13 @@ struct ServiceConfig {
     // row-major (the reference) or tiled cache-aware blocks. Defaults to
     // the process default, which honors GPUDPF_TABLE_LAYOUT.
     TableLayout table_layout = DefaultTableLayout();
-    // Shard-to-worker placement (src/pir/answer_engine.h): kPinned keeps
-    // each table shard's rows on a stable worker (and, with a dedicated
-    // server pool, pins workers to cores), so repeated batches reuse warm
-    // caches. kDynamic is the seed's work-sharing behavior.
-    ShardPlacement shard_placement = ShardPlacement::kDynamic;
     // CPU kernel strategy of the answer engines (src/kernels/cpu_kernel.h):
-    // scalar reference, AES-NI-batched simd_prg, or the multi-query tile
-    // kernel. Defaults to the process default, which honors
-    // GPUDPF_CPU_KERNEL and GPUDPF_FORCE_SCALAR (mirroring
-    // GPUDPF_TABLE_LAYOUT for layouts); the selected kernel and the
-    // detected CPU features are logged once at service start.
+    // scalar reference or the multi-query tile kernel. Defaults to the
+    // process default, which honors GPUDPF_CPU_KERNEL and
+    // GPUDPF_FORCE_SCALAR (mirroring GPUDPF_TABLE_LAYOUT for layouts); the
+    // selected kernel and the detected CPU features are logged once at
+    // service start.
     CpuKernelKind cpu_kernel = DefaultCpuKernelKind();
-    // NUMA first-touch tile placement (src/common/numa.h): with tiled
-    // layout, pinned shard placement and a dedicated multi-worker server
-    // pool, each pinned worker zeroes (first-touches) its own shard's
-    // tiles at table build time, so tile pages land on the worker's node.
-    // kAuto enables this only on multi-node hosts; kOn forces the
-    // placement code path even single-node; kOff keeps the seed's
-    // loader-thread zeroing. Defaults to the process default, which
-    // honors GPUDPF_NUMA.
-    NumaMode numa = DefaultNumaMode();
     // Serving front-end admission control: requests admitted but not yet
     // completed are capped at `max_inflight_requests`; beyond that,
     // ServingFrontEnd::Submit rejects with kQueueFull (backpressure).
@@ -260,7 +245,7 @@ class PrivateEmbeddingService {
     // Sharding configuration handed to the server-side answer engines.
     ShardingOptions server_sharding() const {
         return ShardingOptions{config_.server_shards, server_pool_.get(),
-                               config_.shard_placement, config_.cpu_kernel};
+                               config_.cpu_kernel};
     }
     const EmbeddingLayout& layout() const { return layout_; }
     const Pbr& full_pbr() const { return full_pbr_; }
@@ -309,10 +294,7 @@ class PrivateEmbeddingService {
     std::unique_ptr<Pbr> hot_pbr_;
     QueryPlanner planner_;
     // Dedicated answer pool when config.server_threads > 0; the engines
-    // fall back to ThreadPool::Shared() otherwise. Declared (and thus
-    // constructed) before the tables: BuildPhysicalTable routes the tiled
-    // layout's first-touch zeroing pass through this pool's pinned
-    // workers when NUMA placement is on.
+    // fall back to ThreadPool::Shared() otherwise.
     std::unique_ptr<ThreadPool> server_pool_;
     // Tables are logically replicated on two non-colluding servers; both
     // "servers" answer from the same in-process copy here. Null on a

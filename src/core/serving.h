@@ -43,7 +43,7 @@
 // the submitting thread inside SubmitRequest*/Submit*, so each client's
 // RNG advances in its own submission order: final results are
 // bit-identical to serialized sequential Lookups for any client
-// interleaving, shard count, layout, and placement — and reassembling the
+// interleaving, shard count, and layout — and reassembling the
 // streamed partials reproduces the same bytes.
 //
 // Stop() (also run by the destructor) stops admitting, drains every

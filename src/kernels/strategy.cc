@@ -52,8 +52,6 @@ const std::vector<KernelEntry>& KernelRegistry() {
         };
         cpu(CpuKernelKind::kScalar,
             "per-query pruned-DFS EvalRange + fused mat-vec (reference)");
-        cpu(CpuKernelKind::kSimdPrg,
-            "level-order frontier expansion, AES-NI-batched PRG");
         cpu(CpuKernelKind::kMultiqueryTile,
             "batched PRG + one table walk per same-range query group");
         auto sim = [&r](StrategyKind k, const char* desc) {

@@ -11,17 +11,6 @@
 namespace gpudpf {
 namespace {
 
-// Job-relative boundary of shard s out of `shards`. The tile-snapping
-// partition lives in table_layout (ShardRowBoundary) because the NUMA
-// first-touch pass must reproduce it exactly: the worker that zeroed a
-// tile at load time is the worker the answer engine hands that tile to.
-std::uint64_t ShardBoundary(const AnswerEngine::Job& job,
-                            std::uint64_t tile_rows, std::size_t shards,
-                            std::size_t s) {
-    return ShardRowBoundary(job.row_begin, job.num_rows, tile_rows, shards,
-                            s);
-}
-
 void ValidateJob(const PirTable& table, const AnswerEngine::Job& job) {
     if (job.key == nullptr) {
         throw std::invalid_argument("AnswerEngine: null key in job");
@@ -55,8 +44,8 @@ void ValidateJob(const PirTable& table, const AnswerEngine::Job& job) {
     }
 }
 
-// Per-worker kernel call state, allocated once per pool task (or per
-// (worker, class) pinned task) and reused across its kernel calls.
+// Kernel call state, allocated once per pool task (or once for the
+// sequential path) and reused across its kernel calls.
 struct WorkerState {
     CpuKernelScratch scratch;
     std::vector<CpuKernelTask> tasks;
@@ -64,16 +53,6 @@ struct WorkerState {
 };
 
 }  // namespace
-
-const char* ShardPlacementName(ShardPlacement placement) {
-    switch (placement) {
-        case ShardPlacement::kDynamic:
-            return "dynamic";
-        case ShardPlacement::kPinned:
-            return "pinned";
-    }
-    return "unknown";
-}
 
 AnswerEngine::AnswerEngine(ShardingOptions options)
     : options_(options), kernel_(&GetCpuKernel(options.kernel)) {
@@ -223,17 +202,21 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         const Group& grp = groups[g];
         const TableJob& tj0 = jobs[grp.members.front()];
         const std::uint64_t tile_rows = tj0.table->rows_per_tile();
-        // Shard boundaries are computed over the FULL job range (so the
-        // tile-snapped partition — and the NUMA first-touch pass that
-        // mirrors it — is independent of any clip), then intersected with
-        // the job's eval window. Clipped-away shards still count down.
-        const std::uint64_t win_lo = tj0.job.eval_begin;
-        const std::uint64_t win_hi =
-            std::min(tj0.job.eval_end, tj0.job.num_rows);
-        const std::uint64_t lo = std::max(
-            ShardBoundary(tj0.job, tile_rows, shards, s), win_lo);
-        const std::uint64_t hi = std::min(
-            ShardBoundary(tj0.job, tile_rows, shards, s + 1), win_hi);
+        // Shard boundaries are computed over the FULL job range and
+        // snapped to the tile grid (ShardRowBoundary), so the partition is
+        // independent of any clip, then intersected with the job's eval
+        // window. Clipped-away shards still count down.
+        const AnswerEngine::Job& job0 = tj0.job;
+        const std::uint64_t win_lo = job0.eval_begin;
+        const std::uint64_t win_hi = std::min(job0.eval_end, job0.num_rows);
+        const std::uint64_t lo =
+            std::max(ShardRowBoundary(job0.row_begin, job0.num_rows,
+                                      tile_rows, shards, s),
+                     win_lo);
+        const std::uint64_t hi =
+            std::min(ShardRowBoundary(job0.row_begin, job0.num_rows,
+                                      tile_rows, shards, s + 1),
+                     win_hi);
         ws.tasks.clear();
         ws.task_jobs.clear();
         for (const std::size_t q : grp.members) {
@@ -306,34 +289,7 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     }
     ThreadPool& pool =
         options_.pool != nullptr ? *options_.pool : ThreadPool::Shared();
-    const std::size_t threads = pool.thread_count();
-    const std::size_t total = groups.size() * shards;
-    if (options_.placement == ShardPlacement::kPinned && threads > 1) {
-        // Route shard s of every group to worker s % threads, groups
-        // innermost: consecutive tasks on one worker re-read the same
-        // shard rows, so a batch streams each row range into exactly one
-        // core's cache. One pinned pool task per (worker, priority class),
-        // so a worker freed by skips still finishes interactive shards
-        // before batch shards.
-        for (std::size_t c = 0; c < by_class.size(); ++c) {
-            const std::vector<std::size_t>& class_groups = by_class[c];
-            if (class_groups.empty()) continue;
-            for (std::size_t w = 0; w < std::min(threads, shards); ++w) {
-                pool.SubmitTo(
-                    w,
-                    [&, w] {
-                        WorkerState ws;
-                        for (std::size_t s = w; s < shards; s += threads) {
-                            for (std::size_t g : class_groups) {
-                                run_group(g, s, ws);
-                            }
-                        }
-                    },
-                    static_cast<TaskPriority>(c));
-            }
-        }
-        pool.Wait();
-    } else if (threads <= 1 || total <= 1) {
+    if (pool.thread_count() <= 1 || groups.size() * shards <= 1) {
         // Sequential path: groups complete — and notify — in
         // class-then-submission order.
         WorkerState ws;

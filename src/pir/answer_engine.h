@@ -10,9 +10,9 @@
 // The shard work itself is delegated to a CpuKernel strategy
 // (src/kernels/cpu_kernel.h), selected per engine through
 // ShardingOptions::kernel (default: GPUDPF_CPU_KERNEL env, else the best
-// kernel for the host): the scalar reference loop, the AES-NI-batched
-// simd_prg kernel, or the multi-query tile kernel that walks each storage
-// tile once for every batched query sharing its row range. Kernels walk
+// kernel for the host): the scalar reference loop or the multi-query tile
+// kernel that walks each storage tile once for every batched query sharing
+// its row range. Kernels walk
 // the rows one storage tile at a time (src/pir/table_layout.h), fusing the
 // leaf-range expansion with the mat-vec so the shares buffer and the tile
 // block stay cache-resident, and shard boundaries snap to the tile grid so
@@ -26,12 +26,10 @@
 // DPF-params) signature — the common case for PBR bins queried by many
 // concurrent requests, and for whole-table batches — are grouped so each
 // (group, shard) task pays the shard's table traffic once for the whole
-// group. With ShardPlacement::kPinned, shard s of every job is routed to
-// worker s % thread_count (ThreadPool::SubmitTo), so all jobs of a batch —
-// and repeated batches — stream a given row range from the same core's
-// warm cache instead of migrating rows between cores. Addition in Z_2^128
-// is commutative and associative, so any sharding, tiling, placement, or
-// kernel choice is bit-identical to the sequential reference path.
+// group. Every task goes on the pool's shared two-level queue, and
+// whichever worker is free runs it. Addition in Z_2^128 is commutative and
+// associative, so any sharding, tiling, or kernel choice is bit-identical
+// to the sequential reference path.
 //
 // Request lifecycle: a TableJob may carry a JobContext (the serving
 // front-end attaches one per request). Every (job, shard) task re-checks
@@ -69,23 +67,12 @@ namespace gpudpf {
 // definition; src/pir/protocol.h aliases it.)
 using PirResponse = std::vector<u128>;
 
-// Where a job's shard tasks run.
-//   kDynamic  shared work queue; any worker takes any task (seed behavior).
-//   kPinned   shard s of every job runs on worker s % thread_count, so a
-//             shard's rows stay resident in one core's cache across the
-//             jobs of a batch and across repeated batches.
-enum class ShardPlacement { kDynamic, kPinned };
-
-const char* ShardPlacementName(ShardPlacement placement);
-
 struct ShardingOptions {
     // Contiguous row shards each job is split into. 1 = answer each job's
     // rows in a single task (jobs of a batch still run concurrently).
     std::size_t num_shards = 1;
     // Pool running the shard tasks; nullptr = ThreadPool::Shared().
     ThreadPool* pool = nullptr;
-    // Shard-to-worker placement policy (see ShardPlacement).
-    ShardPlacement placement = ShardPlacement::kDynamic;
     // CPU kernel strategy the shard tasks dispatch through
     // (src/kernels/cpu_kernel.h). Defaults to the process default, which
     // honors GPUDPF_CPU_KERNEL and GPUDPF_FORCE_SCALAR.

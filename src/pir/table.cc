@@ -6,15 +6,14 @@
 namespace gpudpf {
 
 PirTable::PirTable(std::uint64_t num_entries, std::size_t entry_bytes,
-                   TableLayout layout, const TilePlacement* placement)
+                   TableLayout layout)
     : num_entries_(num_entries),
       entry_bytes_(entry_bytes),
       words_per_entry_((entry_bytes + 15) / 16) {
     if (num_entries == 0 || entry_bytes == 0) {
         throw std::invalid_argument("PirTable: empty dimensions");
     }
-    storage_ = TableStorage::Create(layout, num_entries_, words_per_entry_,
-                                    placement);
+    storage_ = TableStorage::Create(layout, num_entries_, words_per_entry_);
     geometry_ = storage_->geometry();
 }
 

@@ -24,12 +24,9 @@ class PirTable {
     // Creates a zero-filled table of `num_entries` rows of `entry_bytes`
     // bytes each, in the given physical layout. entry_bytes is rounded up
     // to a multiple of 16 internally. The layout defaults to the process
-    // default (GPUDPF_TABLE_LAYOUT env var, else row-major). `placement`,
-    // when non-null, requests NUMA first-touch tile placement from the
-    // tiled layout (see TilePlacement); only read during construction.
+    // default (GPUDPF_TABLE_LAYOUT env var, else row-major).
     PirTable(std::uint64_t num_entries, std::size_t entry_bytes,
-             TableLayout layout = DefaultTableLayout(),
-             const TilePlacement* placement = nullptr);
+             TableLayout layout = DefaultTableLayout());
 
     PirTable(PirTable&&) = default;
     PirTable& operator=(PirTable&&) = default;

@@ -9,8 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/common/thread_pool.h"
-
 #ifdef __linux__
 #include <sys/mman.h>
 #endif
@@ -56,8 +54,7 @@ class RowMajorStorage final : public TableStorage {
 
 class TiledStorage final : public TableStorage {
   public:
-    TiledStorage(std::uint64_t num_entries, std::size_t words_per_entry,
-                 const TilePlacement* placement)
+    TiledStorage(std::uint64_t num_entries, std::size_t words_per_entry)
         : TableStorage(num_entries, words_per_entry) {
         const std::size_t row_bytes = words_per_entry * sizeof(u128);
         // Power-of-two tile height so row addressing is a shift, at least
@@ -72,9 +69,10 @@ class TiledStorage final : public TableStorage {
         const std::size_t tile_words = rows_per_tile_ * words_per_entry;
         tile_stride_words_ =
             (tile_words + line_words - 1) / line_words * line_words;
-        num_tiles_ = (num_entries + rows_per_tile_ - 1) / rows_per_tile_;
+        const std::uint64_t num_tiles =
+            (num_entries + rows_per_tile_ - 1) / rows_per_tile_;
 
-        bytes_ = num_tiles_ * tile_stride_words_ * sizeof(u128);
+        bytes_ = num_tiles * tile_stride_words_ * sizeof(u128);
         alignment_ = bytes_ >= kHugePageBytes ? kHugePageBytes
                                               : kCacheLineBytes;
         data_ = static_cast<u128*>(
@@ -82,12 +80,12 @@ class TiledStorage final : public TableStorage {
 #ifdef __linux__
         if (alignment_ == kHugePageBytes) {
             // Best effort: fewer TLB misses while streaming tiles. Advised
-            // before the zeroing pass below so pages can be formed as huge
-            // at first-touch fault time rather than collapsed later.
+            // before the zeroing memset below so pages can be formed as
+            // huge at fault time rather than collapsed later.
             (void)madvise(data_, bytes_, MADV_HUGEPAGE);
         }
 #endif
-        ZeroFill(placement);
+        std::memset(data_, 0, bytes_);
         geometry_.base = data_;
         geometry_.words_per_entry = words_per_entry;
         geometry_.log_rows_per_tile = log;
@@ -102,46 +100,6 @@ class TiledStorage final : public TableStorage {
     std::size_t size_bytes() const override { return bytes_; }
 
   private:
-    // Zeroes the allocation. With a valid placement, pinned worker s of the
-    // pool first-touches exactly the tiles of shard s under the same
-    // partition ShardRowBoundary hands the answer engine over the full
-    // table, so each tile's pages fault in on the NUMA node of the core
-    // that will stream them. Shard s owns tiles
-    // [ceil(b_s / T), ceil(b_{s+1} / T)): boundaries are tile-aligned
-    // whenever shards span full tiles, and the ceilings assign a split
-    // tile to the shard containing its first row — together the ranges
-    // cover [0, num_tiles_) exactly once. Padding words inside each tile
-    // stride are zeroed along with the tile. Falls back to a plain
-    // loader-thread memset when the placement can't help (null, no pool,
-    // or a single-threaded pool).
-    void ZeroFill(const TilePlacement* placement) {
-        ThreadPool* pool = placement != nullptr ? placement->pool : nullptr;
-        const std::size_t shards =
-            placement != nullptr ? placement->num_shards : 0;
-        if (pool == nullptr || pool->thread_count() <= 1 || shards == 0) {
-            std::memset(data_, 0, bytes_);
-            return;
-        }
-        const std::uint64_t tile_rows = rows_per_tile_;
-        std::uint64_t prev_tile_end = 0;
-        for (std::size_t s = 0; s < shards; ++s) {
-            const std::uint64_t row_end = ShardRowBoundary(
-                0, num_entries_, tile_rows, shards, s + 1);
-            const std::uint64_t tile_end =
-                (row_end + tile_rows - 1) / tile_rows;
-            if (tile_end <= prev_tile_end) continue;  // empty shard
-            u128* begin = data_ + prev_tile_end * tile_stride_words_;
-            const std::size_t words =
-                (tile_end - prev_tile_end) * tile_stride_words_;
-            pool->SubmitTo(s, [begin, words] {
-                std::memset(begin, 0, words * sizeof(u128));
-            });
-            prev_tile_end = tile_end;
-        }
-        pool->Wait();
-    }
-
-    std::uint64_t num_tiles_ = 0;
     std::size_t tile_stride_words_ = 0;
     std::size_t bytes_ = 0;
     std::size_t alignment_ = kCacheLineBytes;
@@ -200,7 +158,7 @@ std::uint64_t ShardRowBoundary(std::uint64_t row_begin,
 
 std::unique_ptr<TableStorage> TableStorage::Create(
     TableLayout layout, std::uint64_t num_entries,
-    std::size_t words_per_entry, const TilePlacement* placement) {
+    std::size_t words_per_entry) {
     if (num_entries == 0 || words_per_entry == 0) {
         throw std::invalid_argument("TableStorage: empty dimensions");
     }
@@ -210,8 +168,7 @@ std::unique_ptr<TableStorage> TableStorage::Create(
                                                      words_per_entry);
         case TableLayout::kTiled:
             return std::make_unique<TiledStorage>(num_entries,
-                                                  words_per_entry,
-                                                  placement);
+                                                  words_per_entry);
     }
     throw std::invalid_argument("TableStorage: unknown layout");
 }

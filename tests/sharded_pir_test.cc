@@ -167,9 +167,9 @@ TEST(BatchAnswerTest, BatchedReconstructionRetrievesEntries) {
 
 TEST(TiledLayoutTest, BitIdenticalToRowMajorAcrossShardsAndBatches) {
     // Acceptance matrix: the tiled layout must be bit-identical to
-    // row-major for shards {1,3,8} x batch {1,4,32}, under both placement
-    // policies. Both tables are filled from the same seed, so their
-    // logical rows are identical; responses must match word for word.
+    // row-major for shards {1,3,8} x batch {1,4,32}. Both tables are filled
+    // from the same seed, so their logical rows are identical; responses
+    // must match word for word.
     Rng rng_a(48);
     Rng rng_b(48);
     const std::uint64_t n = 700;  // spans several tiles at 208 B/row
@@ -190,30 +190,24 @@ TEST(TiledLayoutTest, BitIdenticalToRowMajorAcrossShardsAndBatches) {
             PirServer reference(&row_major,
                                 ShardingOptions{shards, &pool});
             const auto expected = reference.BatchAnswer(keys);
-            for (const ShardPlacement placement :
-                 {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-                PirServer server(
-                    &tiled, ShardingOptions{shards, &pool, placement});
-                const auto responses = server.BatchAnswer(keys);
-                ASSERT_EQ(responses.size(), batch);
-                for (std::size_t i = 0; i < batch; ++i) {
-                    EXPECT_EQ(responses[i], expected[i])
-                        << "shards=" << shards << " batch=" << batch
-                        << " placement="
-                        << ShardPlacementName(placement) << " query=" << i;
-                }
+            PirServer server(&tiled, ShardingOptions{shards, &pool});
+            const auto responses = server.BatchAnswer(keys);
+            ASSERT_EQ(responses.size(), batch);
+            for (std::size_t i = 0; i < batch; ++i) {
+                EXPECT_EQ(responses[i], expected[i])
+                    << "shards=" << shards << " batch=" << batch
+                    << " query=" << i;
             }
         }
     }
 }
 
-TEST(CpuKernelMatrixTest, AllKernelsBitIdenticalAcrossLayoutsShardsPlacements) {
+TEST(CpuKernelMatrixTest, AllKernelsBitIdenticalAcrossLayoutsAndShards) {
     // The full acceptance matrix of the unified kernel API: every CPU
-    // kernel (scalar reference, SIMD-batched PRG, multi-query tile) must be
-    // bit-identical to the sequential reference under layouts {row-major,
-    // tiled} x shards {1,3,8} x placements {dynamic, pinned} x batch
-    // {1,4,32}. Z_2^128 addition is commutative, so any kernel's
-    // segmentation must reproduce the exact same words.
+    // kernel (scalar reference, multi-query tile) must be bit-identical to
+    // the sequential reference under layouts {row-major, tiled} x shards
+    // {1,3,8} x batch {1,4,32}. Z_2^128 addition is commutative, so any
+    // kernel's segmentation must reproduce the exact same words.
     Rng rng_a(53);
     Rng rng_b(53);
     const std::uint64_t n = 700;  // spans several tiles at 208 B/row
@@ -239,25 +233,20 @@ TEST(CpuKernelMatrixTest, AllKernelsBitIdenticalAcrossLayoutsShardsPlacements) {
     for (const CpuKernelKind kernel : AllCpuKernelKinds()) {
         for (const PirTable* table : {&row_major, &tiled}) {
             for (const std::size_t shards : kShardCounts) {
-                for (const ShardPlacement placement :
-                     {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-                    PirServer server(
-                        table,
-                        ShardingOptions{shards, &pool, placement, kernel});
-                    for (const std::size_t batch : kBatchSizes) {
-                        const std::vector<std::vector<std::uint8_t>> subset(
-                            keys.begin(), keys.begin() + batch);
-                        const auto responses = server.BatchAnswer(subset);
-                        ASSERT_EQ(responses.size(), batch);
-                        for (std::size_t i = 0; i < batch; ++i) {
-                            ASSERT_EQ(responses[i], expected[i])
-                                << "kernel=" << CpuKernelKindName(kernel)
-                                << " layout="
-                                << (table == &tiled ? "tiled" : "row-major")
-                                << " shards=" << shards << " placement="
-                                << ShardPlacementName(placement)
-                                << " batch=" << batch << " query=" << i;
-                        }
+                PirServer server(table,
+                                 ShardingOptions{shards, &pool, kernel});
+                for (const std::size_t batch : kBatchSizes) {
+                    const std::vector<std::vector<std::uint8_t>> subset(
+                        keys.begin(), keys.begin() + batch);
+                    const auto responses = server.BatchAnswer(subset);
+                    ASSERT_EQ(responses.size(), batch);
+                    for (std::size_t i = 0; i < batch; ++i) {
+                        ASSERT_EQ(responses[i], expected[i])
+                            << "kernel=" << CpuKernelKindName(kernel)
+                            << " layout="
+                            << (table == &tiled ? "tiled" : "row-major")
+                            << " shards=" << shards << " batch=" << batch
+                            << " query=" << i;
                     }
                 }
             }
@@ -297,9 +286,7 @@ TEST(CpuKernelMatrixTest, AllAccumulateIsasBitIdenticalAcrossKernels) {
         ASSERT_TRUE(SetAccumulateIsa(isa));
         for (const CpuKernelKind kernel : AllCpuKernelKinds()) {
             for (const PirTable* table : {&row_major, &tiled}) {
-                PirServer server(table, ShardingOptions{3, &pool,
-                                                        ShardPlacement::kPinned,
-                                                        kernel});
+                PirServer server(table, ShardingOptions{3, &pool, kernel});
                 const auto responses = server.BatchAnswer(keys);
                 ASSERT_EQ(responses.size(), keys.size());
                 for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -341,9 +328,6 @@ TEST(ShardedServiceTest, TiledLayoutLookupMatchesRowMajor) {
         config.server_shards = 4;
         config.server_threads = 4;
         config.table_layout = layout;
-        config.shard_placement = layout == TableLayout::kTiled
-                                     ? ShardPlacement::kPinned
-                                     : ShardPlacement::kDynamic;
         PrivateEmbeddingService service(emb, stats, config);
         auto result = service.MakeClient()->Lookup(wanted);
         results.push_back(std::move(result.embeddings));
@@ -385,7 +369,7 @@ TEST(AnswerEngineTest, JobContextSkipsDeadJobsAndKeepsLiveOnesBitIdentical) {
     // (every shard of a dead job is reclaimed, whether its range is empty
     // or not), while live jobs — with or without a context, interactive or
     // batch class — stay bit-identical to the sequential reference, under
-    // every layout x shards x placement combination.
+    // every kernel x layout x shards combination.
     Rng rng_a(61);
     Rng rng_b(61);
     const std::uint64_t n = 700;
@@ -425,39 +409,33 @@ TEST(AnswerEngineTest, JobContextSkipsDeadJobsAndKeepsLiveOnesBitIdentical) {
     for (const CpuKernelKind kernel : AllCpuKernelKinds()) {
         for (const PirTable* table : {&row_major, &tiled}) {
             for (const std::size_t shards : kShardCounts) {
-                for (const ShardPlacement placement :
-                     {ShardPlacement::kDynamic, ShardPlacement::kPinned}) {
-                    AnswerEngine engine(
-                        ShardingOptions{shards, &pool, placement, kernel});
-                    std::vector<AnswerEngine::TableJob> jobs;
-                    for (std::size_t q = 0; q < kJobs; ++q) {
-                        jobs.push_back(
-                            {table, {&keys[q], 0, n}, {q, contexts[q]}});
-                    }
-                    std::vector<PirResponse> out(kJobs);
-                    const AnswerEngine::BatchStats stats =
-                        engine.AnswerBatchNotify(
-                            jobs, [&out](std::size_t q, PirResponse&& resp) {
-                                out[q] = std::move(resp);
-                            });
-                    EXPECT_EQ(stats.jobs_skipped, kDeadJobs)
-                        << "kernel=" << CpuKernelKindName(kernel)
-                        << " shards=" << shards;
-                    EXPECT_EQ(stats.shards_skipped, kDeadJobs * shards)
-                        << "kernel=" << CpuKernelKindName(kernel)
-                        << " shards=" << shards;
-                    for (std::size_t q = 0; q < kJobs; ++q) {
-                        if (dead[q]) {
-                            EXPECT_TRUE(out[q].empty())
-                                << "kernel=" << CpuKernelKindName(kernel)
-                                << " shards=" << shards << " job=" << q;
-                        } else {
-                            EXPECT_EQ(out[q], expected[q])
-                                << "kernel=" << CpuKernelKindName(kernel)
-                                << " shards=" << shards << " placement="
-                                << ShardPlacementName(placement)
-                                << " job=" << q;
-                        }
+                AnswerEngine engine(ShardingOptions{shards, &pool, kernel});
+                std::vector<AnswerEngine::TableJob> jobs;
+                for (std::size_t q = 0; q < kJobs; ++q) {
+                    jobs.push_back(
+                        {table, {&keys[q], 0, n}, {q, contexts[q]}});
+                }
+                std::vector<PirResponse> out(kJobs);
+                const AnswerEngine::BatchStats stats =
+                    engine.AnswerBatchNotify(
+                        jobs, [&out](std::size_t q, PirResponse&& resp) {
+                            out[q] = std::move(resp);
+                        });
+                EXPECT_EQ(stats.jobs_skipped, kDeadJobs)
+                    << "kernel=" << CpuKernelKindName(kernel)
+                    << " shards=" << shards;
+                EXPECT_EQ(stats.shards_skipped, kDeadJobs * shards)
+                    << "kernel=" << CpuKernelKindName(kernel)
+                    << " shards=" << shards;
+                for (std::size_t q = 0; q < kJobs; ++q) {
+                    if (dead[q]) {
+                        EXPECT_TRUE(out[q].empty())
+                            << "kernel=" << CpuKernelKindName(kernel)
+                            << " shards=" << shards << " job=" << q;
+                    } else {
+                        EXPECT_EQ(out[q], expected[q])
+                            << "kernel=" << CpuKernelKindName(kernel)
+                            << " shards=" << shards << " job=" << q;
                     }
                 }
             }
