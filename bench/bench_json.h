@@ -70,10 +70,11 @@ struct JsonResult {
     bool has_build = false;
     double build_full_ms = 0.0;
     double build_planning_ms = 0.0;
-    // Optional accumulator-ISA metadata, written only when has_isa is set:
-    // which AccumulateIsa produced the row (the accum_* section of
-    // bench_sharded_throughput). speedup_vs_scalar above carries the row's
-    // speedup over the scalar accumulator at the same entry width.
+    // Optional ISA metadata, written only when has_isa is set: which
+    // AccumulateIsa (accum_* rows) or ChaCha20 PRG path (prg_chacha20_*
+    // rows) of bench_sharded_throughput produced the row.
+    // speedup_vs_scalar above carries the row's speedup over the scalar
+    // path of the same section.
     bool has_isa = false;
     std::string isa;
 };

@@ -3,6 +3,8 @@
 // numbers.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/crypto/aes128.h"
 #include "src/crypto/chacha20.h"
@@ -71,6 +73,28 @@ void BM_PrgExpand(benchmark::State& state) {
     state.SetLabel(PrfKindName(static_cast<PrfKind>(state.range(0))));
 }
 BENCHMARK(BM_PrgExpand)->DenseRange(0, 4, 1);
+
+// Prg::ExpandBatch over n independent seeds (a tree-level frontier): the
+// batched path the CPU kernels take. Args: PrfKind, n.
+void BM_PrgExpandBatch(benchmark::State& state) {
+    const auto kind = static_cast<PrfKind>(state.range(0));
+    const auto n = static_cast<std::size_t>(state.range(1));
+    const Prg prg(kind);
+    Rng rng(9);
+    std::vector<u128> seeds(n), lefts(n), rights(n);
+    for (auto& s : seeds) s = rng.Next128();
+    for (auto _ : state) {
+        prg.ExpandBatch(seeds.data(), n, lefts.data(), rights.data());
+        benchmark::DoNotOptimize(lefts.data());
+        benchmark::DoNotOptimize(rights.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+    state.SetLabel(PrfKindName(kind));
+}
+BENCHMARK(BM_PrgExpandBatch)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 4, 1), {16, 1024, 32768}});
 
 }  // namespace
 }  // namespace gpudpf

@@ -15,9 +15,12 @@
 // section isolates the u128 mat-vec accumulator
 // (src/kernels/accumulate.h): each supported ISA walks the tiled table
 // with precomputed shares, reporting ns/row and speedup over the scalar
-// accumulator as accum_* JSON rows. Both tables hold identical logical
-// rows and the bench fails (exit 1) if any batched/kernel/accumulator
-// results differ from the reference. Speedup of the sharded rows tracks
+// accumulator as accum_* JSON rows. A fourth section times each
+// supported ChaCha20 Prg::ExpandBatch path (src/crypto/chacha20_simd.cc)
+// over one multiquery_tile share-budget frontier, reporting ns per
+// expansion and speedup over scalar as prg_chacha20_* JSON rows. Both
+// tables hold identical logical rows and the bench fails (exit 1) if any
+// batched/kernel/accumulator/PRG results differ from the reference. Speedup of the sharded rows tracks
 // the physical core count: on a 1-core host they only measure the
 // engine's overhead.
 #include <cstdio>
@@ -32,6 +35,7 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
+#include "src/crypto/prg.h"
 #include "src/kernels/accumulate.h"
 #include "src/kernels/cpu_kernel.h"
 #include "src/pir/protocol.h"
@@ -290,6 +294,60 @@ int main(int argc, char** argv) {
     }
     std::printf("accumulator paths bit-identical to scalar reference: %s\n",
                 responses_identical ? "YES" : "NO");
+
+    // --- ChaCha20 PRG ISAs: one tree-level frontier, one thread ------------
+    // The default PRF's node expansion alone: each supported path expands
+    // the same 2^15-seed frontier (the multiquery_tile share budget, so
+    // the size a fused tile walk hands one ExpandBatch call), gated
+    // bit-identical to the scalar path (exit 1 on mismatch).
+    constexpr std::size_t kPrgSeeds = std::size_t{1} << 15;
+    std::printf("\n== prg isa (chacha20 ExpandBatch, %zu seeds, 1 thread) "
+                "==\n",
+                kPrgSeeds);
+    std::vector<u128> prg_seeds(kPrgSeeds);
+    Rng seed_rng(19);
+    for (auto& sd : prg_seeds) sd = seed_rng.Next128();
+    std::vector<u128> scalar_lefts(kPrgSeeds), scalar_rights(kPrgSeeds);
+    chacha20_simd::ExpandBatch(chacha20_simd::Isa::kScalar, prg_seeds.data(),
+                               kPrgSeeds, scalar_lefts.data(),
+                               scalar_rights.data());
+    bool prg_identical = true;
+    double scalar_expands_per_sec = 0.0;
+    std::printf("%-30s %12s %12s %9s\n", "isa", "ns/expand", "expands/s",
+                "vs scalar");
+    for (const chacha20_simd::Isa isa : chacha20_simd::kAllIsas) {
+        if (!chacha20_simd::Supported(isa)) continue;
+        std::vector<u128> lefts(kPrgSeeds), rights(kPrgSeeds);
+        const double sec = MeasureSeconds(iters, [&] {
+            chacha20_simd::ExpandBatch(isa, prg_seeds.data(), kPrgSeeds,
+                                       lefts.data(), rights.data());
+        });
+        if (lefts != scalar_lefts || rights != scalar_rights) {
+            prg_identical = false;
+            std::fprintf(stderr, "MISMATCH: chacha20 prg %s\n",
+                         chacha20_simd::IsaName(isa));
+        }
+        const double expands_per_sec = kPrgSeeds / sec;
+        if (isa == chacha20_simd::Isa::kScalar) {
+            scalar_expands_per_sec = expands_per_sec;
+        }
+        const double speedup = scalar_expands_per_sec > 0
+                                   ? expands_per_sec / scalar_expands_per_sec
+                                   : 0.0;
+        std::printf("%-30s %12.2f %12.3g %8.2fx\n",
+                    chacha20_simd::IsaName(isa), sec / kPrgSeeds * 1e9,
+                    expands_per_sec, speedup);
+        bench::JsonResult row;
+        row.name = std::string("prg_chacha20_") + chacha20_simd::IsaName(isa);
+        row.qps = expands_per_sec;
+        row.has_isa = true;
+        row.isa = chacha20_simd::IsaName(isa);
+        row.speedup_vs_scalar = speedup;
+        json.push_back(std::move(row));
+    }
+    std::printf("prg paths bit-identical to scalar reference: %s\n",
+                prg_identical ? "YES" : "NO");
+    responses_identical = responses_identical && prg_identical;
     // The bench name carries the table configuration: several CI runs of
     // this binary (main + tiled smoke) land in one results directory, and
     // the regression checker keys on (bench, row) — identical names would

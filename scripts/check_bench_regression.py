@@ -10,17 +10,19 @@ optionally "p50_ms"/"p95_ms"/"p99_ms", the streaming metrics
 "first_partial_p50_ms"/"first_partial_p99_ms"/"deadline_miss_rate", and
 the cancel-heavy reclamation metrics "cancel_rate"/"jobs_skipped"/
 "shards_skipped", the CPU-kernel metadata "kernel"/"layout"/
-"speedup_vs_scalar", and the accumulator-ISA metadata "isa"/
-"speedup_vs_scalar"}]}.
+"speedup_vs_scalar", and the ISA metadata "isa"/"speedup_vs_scalar" of
+the accum_* (accumulator) and prg_* (ChaCha20 ExpandBatch) rows}]}.
 Results are matched by (bench, name); a current QPS more than `threshold`
 below its baseline counterpart — or a current p99 latency or
 time-to-first-partial (p50) more than `threshold` above it — is a
 regression. The reclamation metrics are informational (printed, never
 flagged: skip counts scale with the cancel mix, not with performance);
 the cancel-mode rows' QPS is still regression-checked like any other row.
-The per-kernel speedup_vs_scalar is likewise informational — it tracks
-the host's AES-NI support, not code performance — while the kernel rows'
-absolute QPS is regression-checked normally.
+The per-kernel and per-ISA speedup_vs_scalar is likewise informational —
+it tracks the host's AES-NI/AVX support, not code performance — while the
+rows' absolute QPS is regression-checked normally. A row with no baseline
+counterpart (a cached baseline older than the row) still prints its isa
+and speedup.
 Unknown fields — older or newer artifacts — are ignored, so baselines
 written before a field existed keep comparing cleanly. Missing baselines
 (first run, renamed rows) are skipped with a note. Exits 1 if any
@@ -61,6 +63,24 @@ def load_results(directory):
     return results
 
 
+def informational(row):
+    """The row's informational-only fields, formatted for its line."""
+    text = ""
+    # Reclamation counters track the cancel mix of the bench, not machine
+    # performance.
+    if row.get("jobs_skipped") is not None:
+        text += (f", reclaimed {row['jobs_skipped']:.0f} jobs"
+                 f"/{row.get('shards_skipped') or 0:.0f} shards")
+    # Kernel/ISA speedup flips with the host's SIMD support, so only the
+    # row's absolute QPS is flagged. The isa tag identifies accum_*/prg_*
+    # rows on hosts where the row name alone is ambiguous across artifacts.
+    if row.get("isa") is not None:
+        text += f", isa={row['isa']}"
+    if row.get("speedup_vs_scalar") is not None:
+        text += f", {row['speedup_vs_scalar']:.2f}x vs scalar"
+    return text
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline_dir")
@@ -84,7 +104,8 @@ def main():
     for key, cur in sorted(current.items()):
         base = baseline.get(key)
         if base is None:
-            print(f"note: no baseline for {key[0]}/{key[1]} — skipped")
+            print(f"note: no baseline for {key[0]}/{key[1]} — skipped"
+                  f"{informational(cur)}")
             continue
         line = f"{key[0]}/{key[1]}:"
         flagged = []
@@ -111,19 +132,7 @@ def main():
                      f"({delta:+.1%})")
             if delta > args.threshold:
                 flagged.append(("first_partial_p50", b_fp, c_fp, delta))
-        # Reclamation counters are informational only: they track the
-        # cancel mix of the bench, not machine performance.
-        if cur.get("jobs_skipped") is not None:
-            line += (f", reclaimed {cur['jobs_skipped']:.0f} jobs"
-                     f"/{cur.get('shards_skipped') or 0:.0f} shards")
-        # Kernel/accumulator speedup is informational: it flips with the
-        # host's SIMD support, so only the row's absolute QPS is flagged
-        # above. The isa tag identifies accum_* rows on hosts where the
-        # row name alone is ambiguous across artifacts.
-        if cur.get("isa") is not None:
-            line += f", isa={cur['isa']}"
-        if cur.get("speedup_vs_scalar") is not None:
-            line += f", {cur['speedup_vs_scalar']:.2f}x vs scalar"
+        line += informational(cur)
         if flagged:
             line += "  <-- REGRESSION"
             for metric, b, c, delta in flagged:

@@ -89,6 +89,15 @@ void Prg::ExpandBatch(const u128* seeds, std::size_t n, u128* lefts,
         MmoExpandBatch(*aes_left_, *aes_right_, seeds, n, lefts, rights);
         return;
     }
+    if (kind_ == PrfKind::kChacha20) {
+        using chacha20_simd::Isa;
+        static const Isa widest =
+            chacha20_simd::Supported(Isa::kAvx512) ? Isa::kAvx512
+            : chacha20_simd::Supported(Isa::kAvx2) ? Isa::kAvx2
+                                                   : Isa::kScalar;
+        chacha20_simd::ExpandBatch(widest, seeds, n, lefts, rights);
+        return;
+    }
     for (std::size_t i = 0; i < n; ++i) {
         Expand(seeds[i], &lefts[i], &rights[i]);
     }

@@ -28,9 +28,12 @@ class Prg {
 
     // Batched node expansion of a whole tree-level frontier:
     // (lefts[i], rights[i]) = Expand(seeds[i]). Bit-identical to n scalar
-    // Expand calls; the AES kind pipelines the fixed-key MMO through
-    // hardware AES-NI (8 blocks in flight) when the host supports it and
-    // GPUDPF_FORCE_SCALAR is off, other kinds loop the scalar path.
+    // Expand calls. When the host supports it and GPUDPF_FORCE_SCALAR is
+    // off, the AES kind pipelines the fixed-key MMO through hardware AES-NI
+    // (8 blocks in flight), and the ChaCha20 kind runs 16 (AVX-512F) or 8
+    // (AVX2) seeds per instruction, one seed per vector lane, with the
+    // tail seeds through the scalar Expand. Other kinds loop the scalar
+    // path.
     void ExpandBatch(const u128* seeds, std::size_t n, u128* lefts,
                      u128* rights) const;
 
@@ -48,5 +51,29 @@ class Prg {
     std::unique_ptr<Aes128> aes_left_;
     std::unique_ptr<Aes128> aes_right_;
 };
+
+// --- ChaCha20 ExpandBatch paths (src/crypto/chacha20_simd.cc) ------------
+// Test/bench seam: Prg::ExpandBatch on the ChaCha20 kind always takes the
+// widest supported path by itself.
+namespace chacha20_simd {
+
+enum class Isa { kScalar, kAvx2, kAvx512 };
+
+inline constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512};
+
+const char* IsaName(Isa isa);
+
+// Whether the path is compiled in AND the effective CpuFeatures probe
+// allows it: false for the vector paths under GPUDPF_FORCE_SCALAR.
+// kScalar is always supported.
+bool Supported(Isa isa);
+
+// Prg(PrfKind::kChacha20).ExpandBatch through one path: the full lane
+// groups (8 seeds for kAvx2, 16 for kAvx512) in vector lanes, the
+// remaining tail seeds through the scalar Expand. Requires Supported(isa).
+void ExpandBatch(Isa isa, const u128* seeds, std::size_t n, u128* lefts,
+                 u128* rights);
+
+}  // namespace chacha20_simd
 
 }  // namespace gpudpf

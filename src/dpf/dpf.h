@@ -103,7 +103,8 @@ class Dpf {
     // EvalRange by level-order (breadth-first) traversal: the covering node
     // frontier of [begin, end) at each level — at most end - begin + 1
     // nodes — is expanded in one Prg::ExpandBatch call, so the AES MMO
-    // PRG runs hardware-pipelined instead of one node at a time. The
+    // PRG runs hardware-pipelined and ChaCha20 runs 8 or 16 seeds per
+    // vector instruction instead of one node at a time. The
     // per-node correction-word math is exactly ExpandNode's, so leaf values
     // are bit-identical to EvalRange for every PrfKind. out receives
     // (end - begin) * out_words words, point-major (not resized — the

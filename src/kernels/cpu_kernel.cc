@@ -194,7 +194,7 @@ CpuKernelKind DefaultCpuKernelKind() {
         // Forced scalar restores the seed's reference hot loop end to end;
         // otherwise the batched multi-query kernel is best on every host
         // (its PRG batching degrades gracefully to the scalar loop when
-        // AES-NI is absent, and tile fusion needs no SIMD at all).
+        // AES-NI or AVX2 is absent, and tile fusion needs no SIMD at all).
         return GetCpuFeatures().forced_scalar ? CpuKernelKind::kScalar
                                               : CpuKernelKind::kMultiqueryTile;
     }();

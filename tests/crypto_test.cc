@@ -367,11 +367,13 @@ TEST_P(PrgTest, ExpandWideDeterministicAndDistinct) {
 
 TEST_P(PrgTest, ExpandBatchMatchesScalarExpand) {
     // ExpandBatch is the SIMD-batched kernel entry point; whatever path it
-    // takes (AES-NI for kAes128, the scalar loop otherwise) it must equal
-    // per-seed Expand bit for bit, tails included.
+    // takes (AES-NI for kAes128, 8/16 lanes for kChacha20, the scalar loop
+    // otherwise) it must equal per-seed Expand bit for bit. The sizes
+    // cross both vector lane widths, tails included.
     Prg prg(GetParam());
     Rng rng(19);
-    for (size_t n : {size_t{1}, size_t{5}, size_t{8}, size_t{37}}) {
+    for (size_t n : {size_t{1}, size_t{5}, size_t{8}, size_t{15},
+                     size_t{16}, size_t{17}, size_t{37}, size_t{100}}) {
         std::vector<u128> seeds(n);
         for (auto& s : seeds) s = rng.Next128();
         std::vector<u128> lefts(n);
@@ -394,6 +396,51 @@ TEST_P(PrgTest, PrimitiveCallCount) {
         EXPECT_EQ(prg.PrimitiveCallsPerExpand(), 2);
     }
 }
+
+class Chacha20SimdTest
+    : public ::testing::TestWithParam<chacha20_simd::Isa> {};
+
+TEST_P(Chacha20SimdTest, PathMatchesScalarExpand) {
+    // Each compiled ChaCha20 ExpandBatch path, called directly, against
+    // per-seed Prg::Expand: empty, sub-group, exact-group and group+tail
+    // sizes for both lane widths (8 and 16), and seed/output pointers one
+    // u128 off their vector alignment.
+    const chacha20_simd::Isa isa = GetParam();
+    if (!chacha20_simd::Supported(isa)) {
+        GTEST_SKIP() << chacha20_simd::IsaName(isa)
+                     << " path unsupported on this host";
+    }
+    const Prg prg(PrfKind::kChacha20);
+    Rng rng(20);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                     size_t{15}, size_t{16}, size_t{17}, size_t{31},
+                     size_t{32}, size_t{33}, size_t{1000}}) {
+        for (size_t offset : {size_t{0}, size_t{1}}) {
+            std::vector<u128> seeds(n + offset);
+            for (auto& s : seeds) s = rng.Next128();
+            std::vector<u128> lefts(n + offset, 0);
+            std::vector<u128> rights(n + offset, 0);
+            chacha20_simd::ExpandBatch(isa, seeds.data() + offset, n,
+                                       lefts.data() + offset,
+                                       rights.data() + offset);
+            for (size_t i = 0; i < n; ++i) {
+                u128 l, r;
+                prg.Expand(seeds[offset + i], &l, &r);
+                ASSERT_EQ(lefts[offset + i], l)
+                    << "n " << n << " offset " << offset << " seed " << i;
+                ASSERT_EQ(rights[offset + i], r)
+                    << "n " << n << " offset " << offset << " seed " << i;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPaths, Chacha20SimdTest,
+                         ::testing::ValuesIn(chacha20_simd::kAllIsas),
+                         [](const auto& info) {
+                             return std::string(
+                                 chacha20_simd::IsaName(info.param));
+                         });
 
 INSTANTIATE_TEST_SUITE_P(AllPrfs, PrgTest, ::testing::ValuesIn(AllPrfKinds()),
                          [](const auto& info) {

@@ -283,13 +283,16 @@ TEST(DpfNodePrimitivesTest, RootEncodesParty) {
 
 TEST(DpfEvalRangeBatchedTest, MatchesDfsEvalRangeAcrossSeedsAndLevels) {
     // The frontier walk feeds the whole level through one Prg::ExpandBatch
-    // (the AES-NI pipeline for kAes128); the correction-word application is
-    // untouched, so the leaves must equal the pruned-DFS EvalRange bit for
-    // bit — every PRF, tree depth, output width, party, and subrange,
-    // including single-leaf ranges and ranges touching the domain edges.
+    // (the AES-NI pipeline for kAes128, vector lanes for kChacha20); the
+    // correction-word application is untouched, so the leaves must equal
+    // the pruned-DFS EvalRange bit for bit — every PRF, tree depth, output
+    // width, party, and subrange, including single-leaf ranges and ranges
+    // touching the domain edges. ChaCha20 adds a 2^17 domain, whose deep
+    // levels hold many full 8- and 16-seed vector lane groups plus a tail.
     for (PrfKind prf :
          {PrfKind::kAes128, PrfKind::kChacha20, PrfKind::kSipHash}) {
-        for (int log_domain : {1, 2, 5, 10, 13}) {
+        for (int log_domain : {1, 2, 5, 10, 13, 17}) {
+            if (log_domain == 17 && prf != PrfKind::kChacha20) continue;
             for (int out_words : {1, 3}) {
                 Rng rng(1000 + log_domain);
                 const Dpf dpf(DpfParams{log_domain, prf, out_words});
